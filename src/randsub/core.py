@@ -11,6 +11,7 @@ operations are pure, so concurrent reads are safe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -353,13 +354,31 @@ def serialize(sub: RandomSubstitution) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _image_budget_error(word: Word, position: int, count: int, budget: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"image of a word of length {len(word)}: {count} distinct partial "
+        f"realisations after {position} of its letters",
+        budget,
+    )
+
+
+def _power_budget_error(
+    sub: RandomSubstitution, letter: int, k: int, level: int, count: int, budget: int
+) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"power {k} of letter {sub.alphabet.letters[letter]}: {count} distinct "
+        f"realisations at level {level}",
+        budget,
+    )
+
+
 def _realisation_map(
     sub: RandomSubstitution, word: Word, budget: int
 ) -> dict[Word, float]:
     """Distinct realisations of the image of ``word`` with aggregated
     probabilities, keyed in lexicographic order of per-letter choices."""
     partial: dict[Word, float] = {"": 1.0}
-    for c in word:
+    for position, c in enumerate(word, start=1):
         rule = sub.rules[ord(c)]
         grown: dict[Word, float] = {}
         for prefix, acc in partial.items():
@@ -367,9 +386,7 @@ def _realisation_map(
                 joined = prefix + image
                 grown[joined] = grown.get(joined, 0.0) + acc * p
         if len(grown) > budget:
-            raise BudgetExceededError(
-                f"more than {budget} distinct partial realisations", budget
-            )
+            raise _image_budget_error(word, position, len(grown), budget)
         partial = grown
     return partial
 
@@ -393,17 +410,145 @@ def power_realisations(
     if isinstance(letter, str):
         letter = sub.alphabet.index(letter)
     dist: dict[Word, float] = {chr(letter): 1.0}
-    for _ in range(k):
+    for level in range(1, k + 1):
         grown: dict[Word, float] = {}
         for w, p in dist.items():
             for v, q in _realisation_map(sub, w, budget).items():
                 grown[v] = grown.get(v, 0.0) + p * q
             if len(grown) > budget:
-                raise BudgetExceededError(
-                    f"more than {budget} distinct realisations", budget
-                )
+                raise _power_budget_error(sub, letter, k, level, len(grown), budget)
         dist = grown
     return iter(dist.items())
+
+
+def realisation_words(
+    sub: RandomSubstitution, word: Word, budget: int = DEFAULT_REALISATION_BUDGET
+) -> Iterator[Word]:
+    """Lazily yield the distinct realisations of the image of ``word`` in
+    exactly the order of ``realisations``, without probabilities.
+
+    That order is the order of each realisation's lexicographically least
+    sequence of per-letter image choices.  A depth-first walk over the
+    images in declaration order meets the sequences in that order, and it
+    may prune a (position, prefix) pair it has seen before: everything
+    below it was already yielded from a smaller sequence.  The walk keeps
+    an explicit stack, so long words need no deep recursion.  The budget
+    caps the distinct prefixes generated at each position.
+    """
+    if not word:
+        raise ValueError("realisations of the empty word are not defined")
+    n = len(word)
+    # Reversed, so that popping the stack takes the first image first.
+    choices = [sub.rules[ord(c)].images[::-1] for c in word]
+    last = sub.rules[ord(word[-1])].images
+    seen: list[set[Word]] = [set() for _ in range(n + 1)]
+    done = seen[n]
+    stack = [(0, "")]
+    while stack:
+        position, prefix = stack.pop()
+        level = seen[position]
+        if prefix in level:
+            continue
+        level.add(prefix)
+        if len(level) > budget:
+            raise _image_budget_error(word, position, len(level), budget)
+        if position < n - 1:
+            stack.extend((position + 1, prefix + image) for image in choices[position])
+            continue
+        # Most nodes sit at the last position; yielding them here rather
+        # than through the stack keeps a full walk as fast as the map.
+        for image in last:
+            w = prefix + image
+            if w not in done:
+                done.add(w)
+                if len(done) > budget:
+                    raise _image_budget_error(word, n, len(done), budget)
+                yield w
+
+
+def power_realisation_words(
+    sub: RandomSubstitution, letter: int | str, k: int, budget: int = DEFAULT_REALISATION_BUDGET
+) -> Iterator[Word]:
+    """Lazily yield the distinct realisations of the k-th image of a single
+    letter in exactly the key order of ``power_realisations``.
+
+    Level j streams the image of each level-(j-1) word, in that level's
+    order, and drops the words it has already yielded.  The budget caps
+    the distinct words generated at each level, and the distinct prefixes
+    of each image as in ``realisation_words``.
+    """
+    if k < 0:
+        raise ValueError("power must be non-negative")
+    if isinstance(letter, str):
+        letter = sub.alphabet.index(letter)
+
+    def next_level(words: Iterator[Word], level: int) -> Iterator[Word]:
+        seen: set[Word] = set()
+        for w in words:
+            for v in realisation_words(sub, w, budget):
+                if v not in seen:
+                    seen.add(v)
+                    if len(seen) > budget:
+                        raise _power_budget_error(sub, letter, k, level, len(seen), budget)
+                    yield v
+
+    words: Iterator[Word] = iter((chr(letter),))
+    for level in range(1, k + 1):
+        words = next_level(words, level)
+    return words
+
+
+def is_realisation(sub: RandomSubstitution, letter: int | str, k: int, word: Word) -> bool:
+    """True iff ``word`` is a realisation of the k-th image of ``letter``,
+    that is a key of ``power_realisations(sub, letter, k)``; images of
+    probability zero count.
+
+    Nothing is enumerated.  A segmentation dynamic programme uses that
+    ``word`` lies in the k-th image of a iff some image v of a splits it
+    into |v| consecutive pieces with piece i in the (k-1)-th image of v_i.
+    Membership of word[start:end] is memoised on (letter, level, start,
+    end), and piece lengths are cut to the shortest and longest
+    realisation lengths of each level.
+    """
+    if k < 0:
+        raise ValueError("power must be non-negative")
+    if isinstance(letter, str):
+        letter = sub.alphabet.index(letter)
+    images = [[[ord(c) for c in v] for v in rule.images] for rule in sub.rules]
+    ones = [1] * sub.n_letters
+    bounds = [(ones, ones)]  # bounds[j] = shortest and longest j-th image of each letter
+    for _ in range(k):
+        lo, hi = bounds[-1]
+        bounds.append((
+            [min(sum(lo[c] for c in v) for v in vs) for vs in images],
+            [max(sum(hi[c] for c in v) for v in vs) for vs in images],
+        ))
+    lo, hi = bounds[k]
+    if not lo[letter] <= len(word) <= hi[letter]:
+        return False
+
+    @functools.cache
+    def member(b: int, level: int, start: int, end: int) -> bool:
+        lo, hi = bounds[level]
+        if not lo[b] <= end - start <= hi[b]:
+            return False
+        if level == 0:
+            return ord(word[start]) == b
+        lo, hi = bounds[level - 1]
+        for image in images[b]:
+            ends = {start}  # where the pieces placed so far can end
+            for c in image:
+                ends = {
+                    cut
+                    for s in ends
+                    for cut in range(s + lo[c], min(s + hi[c], end) + 1)
+                    if member(c, level - 1, s, cut)
+                }
+            if end in ends:
+                return True
+        return False
+
+    return member(letter, k, 0, len(word))
 
 
 def subwords(word: Word, max_len: int | None = None) -> set[Word]:

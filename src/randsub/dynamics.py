@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import (
     DEFAULT_REALISATION_BUDGET,
     RandomSubstitution,
     Word,
     letter_counts,
-    power_realisations,
+    power_realisation_words,
 )
 from .errors import LengthOrderError, NotPrimitiveError
 from .language import (
@@ -32,7 +33,7 @@ from .language import (
     complexity,
     legal_words,
 )
-from .matrices import is_primitive, perron_data, substitution_matrix
+from .matrices import _perron_right, is_primitive, substitution_matrix
 
 
 def is_strong_affix(u: Word, v: Word) -> bool:
@@ -67,30 +68,46 @@ class SplittingReport:
         return None
 
 
+def _as_splitting_pair(letter: int, k: int, u: Word, v: Word) -> SplittingPair | None:
+    if len(u) > len(v):
+        u, v = v, u
+    return None if is_strong_affix(u, v) else SplittingPair(letter, k, u, v)
+
+
+def _first_splitting_pair(letter: int, k: int, words: Iterator[Word]) -> SplittingPair | None:
+    """First pair (words[i], words[j]), i < j, in (i, j) order that splits.
+    The first word's partner is almost always near the front, so its row
+    is searched while the words are still being generated; the rest of
+    the stream is materialised only when that row finds nothing."""
+    first = next(words)
+    rest: list[Word] = []
+    for v in words:
+        pair = _as_splitting_pair(letter, k, first, v)
+        if pair:
+            return pair
+        rest.append(v)
+    for i, u in enumerate(rest):
+        for j in range(i + 1, len(rest)):
+            pair = _as_splitting_pair(letter, k, u, rest[j])
+            if pair:
+                return pair
+    return None
+
+
 def splitting_pairs(
     sub: RandomSubstitution, k_max: int, budget: int = DEFAULT_REALISATION_BUDGET
 ) -> SplittingReport:
     """Scan realisation pairs of every k-th letter image, in canonical
     enumeration order, for a pair (u, v) with |u| <= |v| and u not a
-    strong affix of v."""
+    strong affix of v.  Realisations are generated lazily and the search
+    stops at the first pair, so the budget caps only what was generated."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     pairs: dict[tuple[int, int], SplittingPair | None] = {}
     for k in range(1, k_max + 1):
         for letter in range(sub.n_letters):
-            words = [w for w, _p in power_realisations(sub, letter, k, budget=budget)]
-            hit: SplittingPair | None = None
-            for i in range(len(words)):
-                if hit:
-                    break
-                for j in range(i + 1, len(words)):
-                    u, v = words[i], words[j]
-                    if len(u) > len(v):
-                        u, v = v, u
-                    if not is_strong_affix(u, v):
-                        hit = SplittingPair(letter, k, u, v)
-                        break
-            pairs[(k, letter)] = hit
+            words = power_realisation_words(sub, letter, k, budget=budget)
+            pairs[(k, letter)] = _first_splitting_pair(letter, k, words)
     return SplittingReport(k_max=k_max, pairs=pairs)
 
 
@@ -149,7 +166,7 @@ def entropy_bracket(
     # Primitivity was checked on the support; the expected matrix itself
     # may be degenerate, in which case some frequencies are 0 and the
     # corresponding letters simply contribute no lower bound.
-    freq = perron_data(substitution_matrix(sub), require_primitive=False).right
+    freq = _perron_right(substitution_matrix(sub), sub.is_degenerate)
     n_k = max_realisation_lengths(sub, k_max)
     report = splitting_pairs(sub, k_max, budget=budget)
     best = 0.0

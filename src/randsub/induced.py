@@ -30,7 +30,7 @@ from .core import (
 from .core import DEFAULT_REALISATION_BUDGET
 from .errors import NotPrimitiveError
 from .language import DEFAULT_WINDOW_BUDGET, LanguageTable, legal_words
-from .matrices import DEFAULT_PF_TOL, is_primitive, perron_data, substitution_matrix
+from .matrices import DEFAULT_PF_TOL, _perron_right, is_primitive, perron_data, substitution_matrix
 
 DEFAULT_SCAN_TOL = 1e-6
 
@@ -159,11 +159,11 @@ def word_frequencies(
     )
     if not induced_is_primitive(ind):
         raise NotPrimitiveError(f"induced substitution at ell={ell} is not primitive")
-    pf = perron_data(induced_matrix(ind), tol=tol, require_primitive=False)
+    right = _perron_right(induced_matrix(ind), sub.is_degenerate, tol=tol)
     return FrequencyVector(
         ell=ell,
         words=ind.words,
-        values=tuple(float(x) for x in pf.right),
+        values=tuple(float(x) for x in right),
         probabilities=tuple(rule.probabilities for rule in sub.rules),
     )
 

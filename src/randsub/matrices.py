@@ -149,3 +149,14 @@ def perron_data(
     left = left_raw / float(left_raw @ right)
     residual = float(np.abs(m @ right - lam * right).max())
     return PerronData(float(lam), right, left, residual, it_r + it_l)
+
+
+def _perron_right(m: np.ndarray, degenerate: bool, tol: float = DEFAULT_PF_TOL) -> np.ndarray:
+    """Right Perron vector of the expected matrix of a substitution whose
+    support is primitive.  With images of probability zero (``degenerate``)
+    that matrix can be irreducible but periodic, where power iteration
+    oscillates forever; M + I has the same Perron vector and is aperiodic,
+    so it is iterated instead."""
+    if degenerate:
+        m = m + np.eye(m.shape[0])
+    return perron_data(m, tol=tol, require_primitive=False).right

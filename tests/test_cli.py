@@ -44,6 +44,16 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    def test_entropy_budget_caps_generated_realisations(self, capsys):
+        # Golden's 4th power of 0 has 763,506 realisations, but the pair
+        # search stops after a few, so a budget of 10,000 is enough.
+        code, out, _err = run_cli(
+            capsys, "entropy", "--example", "golden", "--lmax", "8", "--kmax", "4",
+            "--budget", "10000",
+        )
+        assert code == 0
+        assert "lower_status,splitting-pair" in out
+
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["language", "--example", "golden"])  # missing --lmax

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import randsub as rs
+from randsub.core import power_realisation_words, realisation_words
 
 FIB_TEXT = "alphabet: a b\nrule a -> ab:0.5 | ba:0.5\nrule b -> a:1\n"
 
@@ -144,8 +145,20 @@ class TestRealisations:
 
     def test_budget(self):
         sub = rs.get_example("full-shift-2")
-        with pytest.raises(rs.BudgetExceededError):
+        with pytest.raises(rs.BudgetExceededError) as info:
             list(rs.realisations(sub, sub.alphabet.word("0" * 10), budget=100))
+        # 4^4 = 256 partials after the fourth letter are the first count over 100.
+        assert str(info.value) == (
+            "image of a word of length 10: 256 distinct partial realisations "
+            "after 4 of its letters (budget 100)"
+        )
+        # The 4th power of a has 47 realisations, each image of a short word.
+        redundant = rs.get_example("redundant-image")
+        with pytest.raises(rs.BudgetExceededError) as info:
+            list(rs.power_realisations(redundant, "a", 4, budget=46))
+        assert str(info.value) == (
+            "power 4 of letter a: 47 distinct realisations at level 4 (budget 46)"
+        )
 
 
 class TestPowerRealisations:
@@ -163,6 +176,46 @@ class TestPowerRealisations:
         sub = rs.get_example("period-doubling")
         for w, _p in rs.power_realisations(sub, "0", 2):
             assert len(w) == 4
+
+
+class TestRealisationStreams:
+    def test_streams_are_lazy_within_budget(self):
+        # The image of 0^10 has 4^10 realisations; the first few are
+        # generated well within a budget of 100 words per position, and the
+        # walk fills the last position first.
+        sub = rs.get_example("full-shift-2")
+        words = realisation_words(sub, sub.alphabet.word("0" * 10), budget=100)
+        first = [sub.alphabet.format_word(next(words)) for _ in range(3)]
+        assert first == ["0" * 20, "0" * 19 + "1", "0" * 18 + "10"]
+        with pytest.raises(rs.BudgetExceededError, match="101 distinct partial realisations"):
+            list(words)
+
+    def test_long_deterministic_word_needs_no_recursion(self):
+        sub = rs.parse_spec("alphabet: a b\nrule a -> ab:1\nrule b -> a:1\n")
+        word = sub.alphabet.word("ab" * 1000)
+        assert list(realisation_words(sub, word)) == [
+            w for w, _p in rs.realisations(sub, word)
+        ]
+
+    def test_power_stream_validates_arguments(self):
+        sub = rs.parse_spec(FIB_TEXT)
+        assert list(power_realisation_words(sub, "b", 0)) == [chr(1)]
+        with pytest.raises(ValueError):
+            power_realisation_words(sub, "a", -1)
+        with pytest.raises(ValueError):
+            list(realisation_words(sub, ""))
+
+
+class TestIsRealisation:
+    def test_power_zero_and_zero_probability_images(self):
+        sub = rs.with_probabilities(rs.parse_spec(FIB_TEXT), {"a": [1.0, 0.0]})
+        A = sub.alphabet
+        assert rs.is_realisation(sub, "a", 0, A.word("a"))
+        assert not rs.is_realisation(sub, "a", 0, A.word("b"))
+        assert not rs.is_realisation(sub, "a", 0, "")
+        assert rs.is_realisation(sub, 0, 1, A.word("ba"))  # probability zero
+        with pytest.raises(ValueError):
+            rs.is_realisation(sub, "a", -1, A.word("a"))
 
 
 class TestWithProbabilities:

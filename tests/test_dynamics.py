@@ -52,6 +52,23 @@ class TestSplittingPairs:
             assert len(pair.u) <= len(pair.v)
             assert not rs.is_strong_affix(pair.u, pair.v)
 
+    def test_budget_caps_the_realisations_generated(self):
+        # redundant-image never splits, so the search generates all 47
+        # realisations of the 4th power of a and one more than 46 is too many.
+        redundant = rs.get_example("redundant-image")
+        with pytest.raises(rs.BudgetExceededError) as info:
+            rs.splitting_pairs(redundant, 4, budget=46)
+        assert str(info.value) == (
+            "power 4 of letter a: 47 distinct realisations at level 4 (budget 46)"
+        )
+        assert not rs.splitting_pairs(redundant, 4, budget=47).found()
+        # golden splits at once, so a budget far below its 763,506
+        # realisations of the 4th power of 0 is enough for the search.
+        golden = rs.get_example("golden")
+        with pytest.raises(rs.BudgetExceededError):
+            list(rs.power_realisations(golden, "0", 4, budget=1000))
+        assert rs.splitting_pairs(golden, 4, budget=1000).pairs[(4, 0)] is not None
+
 
 class TestMaxRealisationLengths:
     def test_period_doubling_doubles(self):
@@ -98,6 +115,18 @@ class TestEntropyBracket:
         sub = rs.parse_spec("alphabet: a b\nrule a -> a:1\nrule b -> b:1\n")
         with pytest.raises(rs.NotPrimitiveError):
             rs.entropy_bracket(sub, 4, 1)
+
+    def test_periodic_expected_matrix(self):
+        # The support is primitive, but with a -> a at probability zero the
+        # expected matrix [[0, 1], [2, 0]] is periodic; its Perron vector
+        # gives the letter frequencies (sqrt 2 - 1, 2 - sqrt 2).
+        sub = rs.parse_spec("alphabet: a b\nrule a -> bb:1 | a:0\nrule b -> a:1\n")
+        bracket = rs.entropy_bracket(sub, 6, 2)
+        w = bracket.lower_witness
+        assert (w.letter, w.power) == (1, 2)
+        n_2 = rs.max_realisation_lengths(sub, 2)[1]
+        expected = (2 - math.sqrt(2)) * math.log(2) / (2 * n_2)
+        assert bracket.lower == pytest.approx(expected, abs=1e-12)
 
 
 def lucas_numbers(n_max):

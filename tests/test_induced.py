@@ -139,6 +139,12 @@ class TestWordFrequencies:
         fib = rs.get_example("random-fibonacci")
         assert freq.entry(fib.alphabet.word("bb")) == pytest.approx(0.0, abs=1e-12)
 
+    def test_periodic_expected_matrix(self):
+        # Primitive support, periodic expected matrix [[0, 1], [2, 0]].
+        sub = rs.parse_spec("alphabet: a b\nrule a -> bb:1 | a:0\nrule b -> a:1\n")
+        freq = rs.word_frequencies(sub, 1)
+        np.testing.assert_allclose(freq.values, [math.sqrt(2) - 1, 2 - math.sqrt(2)], atol=1e-12)
+
     def test_entries_sum_to_one(self):
         for ell in (1, 2, 3):
             freq = rs.word_frequencies(rs.get_example("golden"), ell)

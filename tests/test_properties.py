@@ -2,11 +2,15 @@
 randomly generated small primitive substitutions."""
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import randsub as rs
+from randsub.core import power_realisation_words
+
+ROOT = Path(__file__).resolve().parents[1]
 
 POOL_SIZE = 100
 
@@ -61,6 +65,58 @@ class TestRealisationProbabilities:
             for u in all_words_up_to(sub, 2):
                 total = sum(p for _w, p in rs.realisations(sub, u))
                 assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def materialising_splitting_pairs(sub, k_max, budget=10**6):
+    """Reference: splitting_pairs as it was before realisations were
+    streamed, materialising every realisation before the (i, j) search."""
+    pairs = {}
+    for k in range(1, k_max + 1):
+        for letter in range(sub.n_letters):
+            words = [w for w, _p in rs.power_realisations(sub, letter, k, budget=budget)]
+            hit = None
+            for i in range(len(words)):
+                if hit:
+                    break
+                for j in range(i + 1, len(words)):
+                    u, v = words[i], words[j]
+                    if len(u) > len(v):
+                        u, v = v, u
+                    if not rs.is_strong_affix(u, v):
+                        hit = rs.SplittingPair(letter, k, u, v)
+                        break
+            pairs[(k, letter)] = hit
+    return pairs
+
+
+class TestRealisationStreams:
+    def test_power_stream_order_on_pool_and_registry(self, pool, registry):
+        for sub in pool + registry:
+            for letter in range(sub.n_letters):
+                for k in range(4):
+                    expect = [w for w, _p in rs.power_realisations(sub, letter, k)]
+                    assert list(power_realisation_words(sub, letter, k)) == expect
+
+    def test_splitting_pairs_match_reference_on_pool_and_registry(self, pool, registry):
+        for sub in pool + registry:
+            assert rs.splitting_pairs(sub, 3).pairs == materialising_splitting_pairs(sub, 3)
+
+    def test_splitting_pairs_match_reference_on_deep_spec(self):
+        deep = rs.parse_spec((ROOT / "perfbench" / "deep.spec").read_text())
+        assert rs.splitting_pairs(deep, 4).pairs == materialising_splitting_pairs(deep, 4)
+
+
+class TestIsRealisation:
+    def test_pool_agrees_with_enumeration(self, pool):
+        for sub in pool:
+            candidates = all_words_up_to(sub, 6)
+            for letter in range(sub.n_letters):
+                for k in range(3):
+                    members = {w for w, _p in rs.power_realisations(sub, letter, k)}
+                    for w in members:
+                        assert rs.is_realisation(sub, letter, k, w)
+                    for w in candidates:
+                        assert rs.is_realisation(sub, letter, k, w) == (w in members)
 
 
 class TestLanguageInvariants:

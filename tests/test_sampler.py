@@ -59,7 +59,7 @@ class TestSampleRealisation:
     def test_sample_is_a_valid_realisation(self):
         golden = rs.get_example("golden")
         sampled = rs.sample_realisation(golden, "0", 4, 11)
-        assert sampled in dict(rs.power_realisations(golden, "0", 4))
+        assert rs.is_realisation(golden, "0", 4, sampled)
 
 
 class TestEmpiricalFrequencies:
