@@ -372,6 +372,17 @@ def _power_budget_error(
     )
 
 
+def _within_power(
+    exc: BudgetExceededError, sub: RandomSubstitution, letter: int, k: int, level: int
+) -> BudgetExceededError:
+    """An image expansion's budget error, prefixed with the power
+    expansion and level it ran in."""
+    return BudgetExceededError(
+        f"power {k} of letter {sub.alphabet.letters[letter]}, level {level}: {exc.detail}",
+        exc.budget,
+    )
+
+
 def _realisation_map(
     sub: RandomSubstitution, word: Word, budget: int
 ) -> dict[Word, float]:
@@ -413,7 +424,11 @@ def power_realisations(
     for level in range(1, k + 1):
         grown: dict[Word, float] = {}
         for w, p in dist.items():
-            for v, q in _realisation_map(sub, w, budget).items():
+            try:
+                image = _realisation_map(sub, w, budget)
+            except BudgetExceededError as exc:
+                raise _within_power(exc, sub, letter, k, level) from exc
+            for v, q in image.items():
                 grown[v] = grown.get(v, 0.0) + p * q
             if len(grown) > budget:
                 raise _power_budget_error(sub, letter, k, level, len(grown), budget)
@@ -482,10 +497,16 @@ def power_realisation_words(
     if isinstance(letter, str):
         letter = sub.alphabet.index(letter)
 
+    def image(w: Word, level: int) -> Iterator[Word]:
+        try:
+            yield from realisation_words(sub, w, budget)
+        except BudgetExceededError as exc:
+            raise _within_power(exc, sub, letter, k, level) from exc
+
     def next_level(words: Iterator[Word], level: int) -> Iterator[Word]:
         seen: set[Word] = set()
         for w in words:
-            for v in realisation_words(sub, w, budget):
+            for v in image(w, level):
                 if v not in seen:
                     seen.add(v)
                     if len(seen) > budget:
@@ -498,6 +519,24 @@ def power_realisation_words(
     return words
 
 
+@functools.lru_cache(maxsize=128)
+def _realisation_bounds(rule_images: tuple[tuple[Word, ...], ...], k: int) -> tuple[tuple, tuple]:
+    """The images of each letter as tuples of letter indices, and for
+    each level j <= k the lengths of the shortest and the longest j-th
+    image of every letter.  Memoised, so that testing many words against
+    one substitution and power computes them once."""
+    images = tuple(tuple(tuple(map(ord, v)) for v in vs) for vs in rule_images)
+    ones = (1,) * len(images)
+    bounds = [(ones, ones)]
+    for _ in range(k):
+        lo, hi = bounds[-1]
+        bounds.append((
+            tuple(min(sum(lo[c] for c in v) for v in vs) for vs in images),
+            tuple(max(sum(hi[c] for c in v) for v in vs) for vs in images),
+        ))
+    return images, tuple(bounds)
+
+
 def is_realisation(sub: RandomSubstitution, letter: int | str, k: int, word: Word) -> bool:
     """True iff ``word`` is a realisation of the k-th image of ``letter``,
     that is a key of ``power_realisations(sub, letter, k)``; images of
@@ -508,21 +547,13 @@ def is_realisation(sub: RandomSubstitution, letter: int | str, k: int, word: Wor
     into |v| consecutive pieces with piece i in the (k-1)-th image of v_i.
     Membership of word[start:end] is memoised on (letter, level, start,
     end), and piece lengths are cut to the shortest and longest
-    realisation lengths of each level.
+    realisation lengths of each level, which are memoised across calls.
     """
     if k < 0:
         raise ValueError("power must be non-negative")
     if isinstance(letter, str):
         letter = sub.alphabet.index(letter)
-    images = [[[ord(c) for c in v] for v in rule.images] for rule in sub.rules]
-    ones = [1] * sub.n_letters
-    bounds = [(ones, ones)]  # bounds[j] = shortest and longest j-th image of each letter
-    for _ in range(k):
-        lo, hi = bounds[-1]
-        bounds.append((
-            [min(sum(lo[c] for c in v) for v in vs) for vs in images],
-            [max(sum(hi[c] for c in v) for v in vs) for vs in images],
-        ))
+    images, bounds = _realisation_bounds(tuple(rule.images for rule in sub.rules), k)
     lo, hi = bounds[k]
     if not lo[letter] <= len(word) <= hi[letter]:
         return False

@@ -43,6 +43,7 @@ class BudgetExceededError(RandsubError):
     """An enumeration grew past its work budget; retry with a larger budget."""
 
     def __init__(self, message: str, budget: int):
+        self.detail = message
         self.budget = budget
         super().__init__(f"{message} (budget {budget})")
 

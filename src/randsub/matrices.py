@@ -3,14 +3,20 @@
 The expected substitution matrix has entry (i, j) equal to the expected
 number of occurrences of letter i in the image of letter j, so column j
 sums to the expected image length of letter j.  Primitivity and
-irreducibility are decided on the 0/1 support matrix, which keeps
-zero-probability images: a degenerate substitution can be primitive even
-though its expected matrix is not.
+irreducibility are decided on the support, which keeps zero-probability
+images: a degenerate substitution can be primitive even though its
+expected matrix is not.  The support is read as a directed graph with an
+edge j -> i when letter i occurs in an image of j; irreducibility is
+strong connectivity of that graph, and primitivity is strong connectivity
+with period 1.  Two breadth-first walks decide both in time linear in the
+number of edges, so no matrix power is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from typing import Sequence
 
 import numpy as np
 
@@ -45,46 +51,81 @@ def support_matrix(sub: RandomSubstitution) -> np.ndarray:
     return m
 
 
+def _bfs_levels(adjacency: Sequence[Sequence[int]]) -> list[int]:
+    """Breadth-first distances from vertex 0, with -1 where unreachable."""
+    level = [-1] * len(adjacency)
+    level[0] = 0
+    queue = [0]
+    for u in queue:
+        for v in adjacency[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
+
+
+def _strong_period(successors: Sequence[Sequence[int]]) -> tuple[bool, int]:
+    """Whether the directed graph on vertices 0..n-1 with the given
+    successor lists is strongly connected, and if so its period.
+
+    A breadth-first search from vertex 0 assigns levels, and a second one
+    over the predecessor lists checks that every vertex reaches vertex 0.
+    The period of a strongly connected graph is the gcd of
+    level(u) + 1 - level(v) over its edges u -> v (Denardo, Math. Oper.
+    Res. 1977).  These terms sum to the length of any closed walk along
+    it, so the gcd divides every cycle length; and each term is the
+    difference of two closed walks through vertex 0, one through the edge
+    and one along the search tree's path to v, so the period divides the
+    gcd.  A single vertex without a loop has no cycle and period 0.
+    """
+    n = len(successors)
+    if n == 0:  # vacuously strongly connected, and A^1 is (vacuously) positive
+        return True, 1
+    level = _bfs_levels(successors)
+    if -1 in level:
+        return False, 0
+    predecessors: list[list[int]] = [[] for _ in range(n)]
+    period = 0
+    for u, vs in enumerate(successors):
+        for v in vs:
+            predecessors[v].append(u)
+            period = gcd(period, level[u] + 1 - level[v])
+    if -1 in _bfs_levels(predecessors):
+        return False, 0
+    return True, period
+
+
+def _matrix_successors(support: np.ndarray) -> list[list[int]]:
+    """Successors j -> i for the positive entries (i, j) of each column."""
+    positive = np.asarray(support) > 0
+    successors: list[list[int]] = [[] for _ in range(positive.shape[1])]
+    for j, i in zip(*(axis.tolist() for axis in np.nonzero(positive.T))):
+        successors[j].append(i)
+    return successors
+
+
+def _substitution_successors(sub: RandomSubstitution) -> list[list[int]]:
+    """Successors j -> i for the letters i of the images of each letter j,
+    regardless of their probabilities."""
+    return [list(map(ord, set("".join(rule.images)))) for rule in sub.rules]
+
+
 def is_irreducible_matrix(support: np.ndarray) -> bool:
-    """True iff (I + A)^(n-1) is entrywise positive for the 0/1 matrix A."""
-    n = support.shape[0]
-    reach = ((support > 0) | np.eye(n, dtype=bool)).astype(np.int64)
-    # Boolean repeated squaring reaches the (n-1)-th power quickly.
-    steps = max(1, int(np.ceil(np.log2(max(n - 1, 1)))) + 1)
-    for _ in range(steps):
-        reach = ((reach @ reach) > 0).astype(np.int64)
-        if reach.all():
-            return True
-    return bool(reach.all())
+    """True iff the 0/1 matrix A is irreducible, i.e. (I + A)^(n-1) > 0."""
+    return _strong_period(_matrix_successors(support))[0]
 
 
 def is_primitive_matrix(support: np.ndarray) -> bool:
-    """True iff some power k <= n^2 - 2n + 2 of the support is positive."""
-    n = support.shape[0]
-    if n == 1:
-        return bool(support[0, 0] > 0)
-    power = (support > 0).astype(np.int64)
-    if (power.sum(axis=0) == 0).any() or (power.sum(axis=1) == 0).any():
-        return False
-    # With no zero rows, positivity of A^k is monotone in k, so it is
-    # enough to test the squares A, A^2, A^4, ... past the Wielandt bound.
-    wielandt = n * n - 2 * n + 2
-    k = 1
-    while True:
-        if power.all():
-            return True
-        if k >= wielandt:
-            return False
-        power = ((power @ power) > 0).astype(np.int64)
-        k *= 2
+    """True iff some power of the 0/1 matrix A is entrywise positive."""
+    return _strong_period(_matrix_successors(support)) == (True, 1)
 
 
 def is_primitive(sub: RandomSubstitution) -> bool:
-    return is_primitive_matrix(support_matrix(sub))
+    return _strong_period(_substitution_successors(sub)) == (True, 1)
 
 
 def is_irreducible(sub: RandomSubstitution) -> bool:
-    return is_irreducible_matrix(support_matrix(sub))
+    return _strong_period(_substitution_successors(sub))[0]
 
 
 @dataclass
@@ -142,7 +183,7 @@ def perron_data(
         raise ValueError("matrix must be square")
     if (m < 0).any():
         raise ValueError("matrix must be non-negative")
-    if require_primitive and not is_primitive_matrix((m > 0).astype(np.int64)):
+    if require_primitive and not is_primitive_matrix(m):
         raise NotPrimitiveError("matrix is not primitive")
     lam, right, it_r = _power_iterate(m, tol, max_iterations)
     _, left_raw, it_l = _power_iterate(m.T, tol, max_iterations)

@@ -41,16 +41,9 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _mix64_int(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
 def stream_u01(seed: int, depth: int, positions: np.ndarray) -> np.ndarray:
     """Uniform [0, 1) variates for the given positions of one depth."""
-    key = np.uint64(_mix64_int(seed + (depth + 1) * _GOLDEN))
+    key = _mix64(np.array([(seed + (depth + 1) * _GOLDEN) & _MASK], dtype=np.uint64))[0]
     counters = key + (positions.astype(np.uint64) + np.uint64(1)) * GOLDEN
     return (_mix64(counters) >> np.uint64(11)) * 2.0**-53
 

@@ -160,6 +160,24 @@ class TestRealisations:
             "power 4 of letter a: 47 distinct realisations at level 4 (budget 46)"
         )
 
+    def test_budget_inside_a_power_names_the_power(self):
+        # The cube of 1 expands words of length 4 at level 3; one image of
+        # such a word outgrows the budget before the level's count does.
+        sub = rs.get_example("full-shift-2")
+        with pytest.raises(rs.BudgetExceededError) as info:
+            list(rs.power_realisations(sub, "1", 3, budget=100))
+        assert str(info.value) == (
+            "power 3 of letter 1, level 3: image of a word of length 4: 256 "
+            "distinct partial realisations after 4 of its letters (budget 100)"
+        )
+        assert info.value.budget == 100
+        with pytest.raises(rs.BudgetExceededError) as info:
+            list(power_realisation_words(sub, "1", 3, budget=100))
+        assert str(info.value) == (
+            "power 3 of letter 1, level 3: image of a word of length 4: 101 "
+            "distinct partial realisations after 4 of its letters (budget 100)"
+        )
+
 
 class TestPowerRealisations:
     def test_square_of_section_two_example(self):

@@ -79,6 +79,30 @@ class TestSupportAndPrimitivity:
             squared = ((support @ support) > 0).astype(np.int64)
             assert rs.is_primitive_matrix(squared)
 
+    def test_long_cycle_is_periodic_until_a_chord(self):
+        # Letter j maps to letter j + 1 mod 2000: one cycle of length 2000,
+        # far past what squaring 2000 x 2000 matrices decides quickly.
+        n = 2000
+        cycle = np.zeros((n, n), dtype=np.int8)
+        cycle[(np.arange(n) + 1) % n, np.arange(n)] = 1
+        assert rs.is_irreducible_matrix(cycle)
+        assert not rs.is_primitive_matrix(cycle)
+        # A chord 1999 -> 1 adds a cycle of length 1999, coprime to 2000.
+        chorded = cycle.copy()
+        chorded[1, n - 1] = 1
+        assert rs.is_irreducible_matrix(chorded)
+        assert rs.is_primitive_matrix(chorded)
+
+        letters = rs.Alphabet([f"x{j}" for j in range(n)])
+        rules = [rs.Rule(j, (chr((j + 1) % n),), (1.0,)) for j in range(n)]
+        sub = rs.RandomSubstitution(letters, rules)
+        assert rs.is_irreducible(sub)
+        assert not rs.is_primitive(sub)
+        rules[-1] = rs.Rule(n - 1, (chr(0), chr(1)), (0.5, 0.5))
+        sub = rs.RandomSubstitution(letters, rules)
+        assert rs.is_irreducible(sub)
+        assert rs.is_primitive(sub)
+
 
 class TestPerron:
     def test_period_doubling_eigendata(self):

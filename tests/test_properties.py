@@ -15,20 +15,23 @@ ROOT = Path(__file__).resolve().parents[1]
 POOL_SIZE = 100
 
 
+def random_substitution(rng: random.Random, letters: str) -> rs.RandomSubstitution:
+    lines = [f"alphabet: {' '.join(letters)}"]
+    for letter in letters:
+        k = rng.randint(1, 3)
+        images = []
+        for _ in range(k):
+            length = rng.randint(1, 3)
+            images.append("".join(rng.choice(letters) for _ in range(length)))
+        images = list(dict.fromkeys(images))
+        lines.append(f"rule {letter} -> " + " | ".join(images))
+    return rs.parse_spec("\n".join(lines) + "\n")
+
+
 def random_primitive_substitution(rng: random.Random) -> rs.RandomSubstitution:
     n = rng.choice((2, 2, 2, 3))
-    letters = "abc"[:n]
     while True:
-        lines = [f"alphabet: {' '.join(letters)}"]
-        for letter in letters:
-            k = rng.randint(1, 3)
-            images = []
-            for _ in range(k):
-                length = rng.randint(1, 3)
-                images.append("".join(rng.choice(letters) for _ in range(length)))
-            images = list(dict.fromkeys(images))
-            lines.append(f"rule {letter} -> " + " | ".join(images))
-        sub = rs.parse_spec("\n".join(lines) + "\n")
+        sub = random_substitution(rng, "abc"[:n])
         if rs.is_primitive(sub):
             return sub
 
@@ -117,6 +120,102 @@ class TestIsRealisation:
                         assert rs.is_realisation(sub, letter, k, w)
                     for w in candidates:
                         assert rs.is_realisation(sub, letter, k, w) == (w in members)
+
+
+def dense_is_irreducible_matrix(support):
+    """Reference: is_irreducible_matrix as it was before the graph walk,
+    by boolean repeated squaring of I + A."""
+    n = support.shape[0]
+    reach = ((support > 0) | np.eye(n, dtype=bool)).astype(np.int64)
+    steps = max(1, int(np.ceil(np.log2(max(n - 1, 1)))) + 1)
+    for _ in range(steps):
+        reach = ((reach @ reach) > 0).astype(np.int64)
+        if reach.all():
+            return True
+    return bool(reach.all())
+
+
+def dense_is_primitive_matrix(support):
+    """Reference: is_primitive_matrix as it was before the graph walk, by
+    squaring A past the Wielandt bound n^2 - 2n + 2."""
+    n = support.shape[0]
+    if n == 1:
+        return bool(support[0, 0] > 0)
+    power = (support > 0).astype(np.int64)
+    if (power.sum(axis=0) == 0).any() or (power.sum(axis=1) == 0).any():
+        return False
+    wielandt = n * n - 2 * n + 2
+    k = 1
+    while True:
+        if power.all():
+            return True
+        if k >= wielandt:
+            return False
+        power = ((power @ power) > 0).astype(np.int64)
+        k *= 2
+
+
+def assert_matches_dense(sub):
+    support = rs.support_matrix(sub)
+    assert rs.is_primitive(sub) == dense_is_primitive_matrix(support), rs.serialize(sub)
+    assert rs.is_irreducible(sub) == dense_is_irreducible_matrix(support), rs.serialize(sub)
+
+
+# The full shift's induced substitution at ell has 2 * 4^ell images, so its
+# build takes 0.4 s at ell 6 and about 30 s at ell 8.
+REGISTRY_INDUCED_ELL = {"full-shift-2": 6}
+
+
+class TestPrimitivityOracle:
+    def test_random_matrices_match_dense(self):
+        rng = np.random.default_rng(20260418)
+        verdicts = set()
+        for a in ([[0]], [[1]], [[3]]):
+            a = np.array(a, dtype=np.int64)
+            assert rs.is_primitive_matrix(a) == dense_is_primitive_matrix(a)
+            assert rs.is_irreducible_matrix(a) == dense_is_irreducible_matrix(a)
+        for n in range(1, 9):
+            for trial in range(2500):
+                if trial % 2:
+                    a = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+                else:
+                    # Edges only from class c to class c + 1 mod p: periodic
+                    # whenever the graph is strongly connected and p > 1.
+                    p = int(rng.integers(1, n + 1))
+                    cls = rng.integers(0, p, size=n)
+                    allowed = cls[:, None] == (cls[None, :] + 1) % p
+                    a = allowed & (rng.random((n, n)) < rng.uniform(0.3, 1.0))
+                a = a.astype(np.int64)
+                primitive = rs.is_primitive_matrix(a)
+                irreducible = rs.is_irreducible_matrix(a)
+                assert primitive == dense_is_primitive_matrix(a), a.tolist()
+                assert irreducible == dense_is_irreducible_matrix(a), a.tolist()
+                verdicts.add((primitive, irreducible))
+        # Every possible pair of verdicts was exercised.
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    def test_substitutions_match_dense(self, pool, registry):
+        rng = random.Random(0xFACADE)
+        unfiltered = [random_substitution(rng, "abc"[: rng.choice((1, 2, 3))]) for _ in range(300)]
+        for sub in pool + registry + unfiltered:
+            assert_matches_dense(sub)
+        assert not all(rs.is_irreducible(sub) for sub in unfiltered)
+        assert not all(rs.is_primitive(sub) == rs.is_irreducible(sub) for sub in unfiltered)
+
+    def test_induced_substitutions_match_dense(self, pool):
+        for sub in pool:
+            if rs.is_empty_subshift(sub):
+                continue
+            for ell in range(1, 5):
+                assert_matches_dense(rs.induced_substitution(sub, ell).sub)
+        for name in rs.example_names():
+            sub = rs.get_example(name)
+            if rs.is_empty_subshift(sub):
+                continue
+            ell_max = REGISTRY_INDUCED_ELL.get(name, 10)
+            table = rs.legal_words(sub, ell_max)
+            for ell in range(1, ell_max + 1):
+                assert_matches_dense(rs.induced_substitution(sub, ell, table=table).sub)
 
 
 class TestLanguageInvariants:
