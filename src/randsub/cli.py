@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from .core import (
+    DEFAULT_BUDGET,
     RandomSubstitution,
     format_float,
     parse_probability,
@@ -167,7 +168,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_induced(args) -> int:
     sub = _load_substitution(args)
-    ind = induced_substitution(sub, args.ell, budget=args.budget, window_budget=args.budget)
+    ind = induced_substitution(sub, args.ell, budget=args.budget)
     out = _Output(args.out)
     out.raw(serialize(ind.sub))
     out.blank()
@@ -178,9 +179,7 @@ def _cmd_induced(args) -> int:
 
 def _cmd_freq(args) -> int:
     sub = _load_substitution(args)
-    freq = word_frequencies(
-        sub, args.ell, tol=args.tol, budget=args.budget, window_budget=args.budget
-    )
+    freq = word_frequencies(sub, args.ell, tol=args.tol, budget=args.budget)
     out = _Output(args.out)
     out.row("word", "frequency")
     for word, value in zip(freq.words, freq.values):
@@ -210,7 +209,7 @@ def _cmd_ergodicity(args) -> int:
             "only covers non-degenerate probabilities",
             file=sys.stderr,
         )
-    verdict = unique_ergodicity_scan(sub, args.lmax, grid, tol=args.tol, threads=args.threads)
+    verdict = unique_ergodicity_scan(sub, args.lmax, grid, tol=args.tol, budget=args.budget)
     out = _Output(args.out)
     out.row("field", "value")
     out.row("verdict", verdict.status)
@@ -240,7 +239,6 @@ def _cmd_entropy(args) -> int:
         args.lmax,
         args.kmax,
         budget=args.budget,
-        window_budget=args.budget,
         exact_known=exact,
         exact_note=exact_note,
     )
@@ -268,7 +266,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_periodic(args) -> int:
     sub = _load_substitution(args)
-    census = periodic_census(sub, args.nmax, args.horizon, window_budget=args.budget)
+    census = periodic_census(sub, args.nmax, args.horizon, budget=args.budget)
     out = _Output(args.out)
     out.row("n", "count")
     for n in range(1, args.nmax + 1):
@@ -279,7 +277,7 @@ def _cmd_periodic(args) -> int:
 
 def _cmd_zeta(args) -> int:
     sub = _load_substitution(args)
-    census = periodic_census(sub, args.nmax, args.horizon, window_budget=args.budget)
+    census = periodic_census(sub, args.nmax, args.horizon, budget=args.budget)
     series = zeta_series(census, args.nmax)
     out = _Output(args.out)
     out.row("degree", "coefficient")
@@ -293,7 +291,7 @@ def _cmd_mixing(args) -> int:
     sub = _load_substitution(args)
     u = sub.alphabet.word(args.u)
     v = sub.alphabet.word(args.v)
-    gaps = mixing_gaps(sub, u, v, args.nmax, window_budget=args.budget)
+    gaps = mixing_gaps(sub, u, v, args.nmax, budget=args.budget)
     out = _Output(args.out)
     out.row("gap")
     for gap in gaps:
@@ -305,7 +303,7 @@ def _cmd_mixing(args) -> int:
 def _cmd_sample(args) -> int:
     sub = _load_substitution(args)
     report = frequency_report(
-        sub, args.ell, args.depth, args.seed, start_letter=args.letter
+        sub, args.ell, args.depth, args.seed, start_letter=args.letter, budget=args.budget
     )
     out = _Output(args.out)
     out.row("word", "empirical", "predicted", "abs_dev")
@@ -344,13 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument(
-        "--budget", type=int, default=10**7, help="work budget for enumerations"
+        "--budget", type=int, default=DEFAULT_BUDGET, help="work budget for enumerations"
     )
     common.add_argument(
         "--tol", type=float, default=None, help="tolerance override (context specific)"
     )
     common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for independent sweeps"
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
     )
     common.add_argument(
         "--probs",
@@ -434,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET_EXIT
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except RandsubError as exc:

@@ -28,7 +28,8 @@ from .errors import (
 Word = str
 
 PROB_TOL = 1e-9
-DEFAULT_REALISATION_BUDGET = 10**6
+# The one work cap of every enumeration: realisations and language closure.
+DEFAULT_BUDGET = 10**7
 
 _RESERVED = set("#:|.,")
 
@@ -403,7 +404,7 @@ def _realisation_map(
 
 
 def realisations(
-    sub: RandomSubstitution, word: Word, budget: int = DEFAULT_REALISATION_BUDGET
+    sub: RandomSubstitution, word: Word, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[Word, float]]:
     """Yield every distinct realisation of the image of ``word`` exactly once
     with its aggregated probability; the probabilities sum to 1."""
@@ -413,7 +414,7 @@ def realisations(
 
 
 def power_realisations(
-    sub: RandomSubstitution, letter: int | str, k: int, budget: int = DEFAULT_REALISATION_BUDGET
+    sub: RandomSubstitution, letter: int | str, k: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[Word, float]]:
     """Distinct realisations of the k-th image of a single letter."""
     if k < 0:
@@ -437,7 +438,7 @@ def power_realisations(
 
 
 def realisation_words(
-    sub: RandomSubstitution, word: Word, budget: int = DEFAULT_REALISATION_BUDGET
+    sub: RandomSubstitution, word: Word, budget: int = DEFAULT_BUDGET
 ) -> Iterator[Word]:
     """Lazily yield the distinct realisations of the image of ``word`` in
     exactly the order of ``realisations``, without probabilities.
@@ -482,7 +483,7 @@ def realisation_words(
 
 
 def power_realisation_words(
-    sub: RandomSubstitution, letter: int | str, k: int, budget: int = DEFAULT_REALISATION_BUDGET
+    sub: RandomSubstitution, letter: int | str, k: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[Word]:
     """Lazily yield the distinct realisations of the k-th image of a single
     letter in exactly the key order of ``power_realisations``.

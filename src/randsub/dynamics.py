@@ -20,19 +20,15 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (
-    DEFAULT_REALISATION_BUDGET,
+    DEFAULT_BUDGET,
     RandomSubstitution,
     Word,
+    _realisation_bounds,
     letter_counts,
     power_realisation_words,
 )
 from .errors import LengthOrderError, NotPrimitiveError
-from .language import (
-    DEFAULT_WINDOW_BUDGET,
-    LanguageTable,
-    complexity,
-    legal_words,
-)
+from .language import LanguageTable, complexity, legal_words
 from .matrices import _perron_right, is_primitive, substitution_matrix
 
 
@@ -95,7 +91,7 @@ def _first_splitting_pair(letter: int, k: int, words: Iterator[Word]) -> Splitti
 
 
 def splitting_pairs(
-    sub: RandomSubstitution, k_max: int, budget: int = DEFAULT_REALISATION_BUDGET
+    sub: RandomSubstitution, k_max: int, budget: int = DEFAULT_BUDGET
 ) -> SplittingReport:
     """Scan realisation pairs of every k-th letter image, in canonical
     enumeration order, for a pair (u, v) with |u| <= |v| and u not a
@@ -114,16 +110,8 @@ def splitting_pairs(
 def max_realisation_lengths(sub: RandomSubstitution, k_max: int) -> list[int]:
     """N_k = the longest possible realisation of the k-th image of any
     letter, for k = 1..k_max (no enumeration; dynamic programming)."""
-    n = sub.n_letters
-    longest = [1] * n
-    out = []
-    for _ in range(k_max):
-        longest = [
-            max(sum(longest[ord(c)] for c in image) for image in rule.images)
-            for rule in sub.rules
-        ]
-        out.append(max(longest))
-    return out
+    _images, bounds = _realisation_bounds(tuple(rule.images for rule in sub.rules), k_max)
+    return [max(hi) for _lo, hi in bounds[1:]]
 
 
 @dataclass(frozen=True)
@@ -151,14 +139,13 @@ def entropy_bracket(
     ell_max: int,
     k_max: int,
     table: LanguageTable | None = None,
-    budget: int = DEFAULT_REALISATION_BUDGET,
-    window_budget: int = DEFAULT_WINDOW_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     exact_known: float | None = None,
     exact_note: str | None = None,
 ) -> EntropyBracket:
     if not is_primitive(sub):
         raise NotPrimitiveError("entropy bracket requires a primitive substitution")
-    table = legal_words(sub, ell_max, table=table, budget=window_budget)
+    table = legal_words(sub, ell_max, table=table, budget=budget)
     counts = complexity(table, ell_max)
     profile = tuple(
         (ell, math.log(c) / ell) for ell, c in enumerate(counts, start=1)
@@ -211,7 +198,7 @@ def periodic_census(
     n_max: int,
     horizon: int | None = None,
     table: LanguageTable | None = None,
-    window_budget: int = DEFAULT_WINDOW_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> PeriodicCensus:
     """Count length-n roots u (n <= n_max) whose periodic repetition has
     every length-``horizon`` window legal; horizon defaults to 2*n_max
@@ -222,7 +209,7 @@ def periodic_census(
         horizon = 2 * n_max
     if horizon < 2 * n_max:
         raise ValueError("horizon must be at least 2 * n_max")
-    table = legal_words(sub, horizon, table=table, budget=window_budget)
+    table = legal_words(sub, horizon, table=table, budget=budget)
     counts: dict[int, int] = {}
     roots: dict[int, tuple[Word, ...]] = {}
     for n in range(1, n_max + 1):
@@ -353,7 +340,7 @@ def mixing_gaps(
     v: Word,
     n_max: int,
     table: LanguageTable | None = None,
-    window_budget: int = DEFAULT_WINDOW_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, ...]:
     """Gaps n <= n_max for which some word w of length n makes u w v
     legal.  Absence of a gap is rigorous relative to the substitution's
@@ -363,7 +350,7 @@ def mixing_gaps(
     if not u or not v:
         raise ValueError("u and v must be non-empty")
     longest = len(u) + n_max + len(v)
-    table = legal_words(sub, longest, table=table, budget=window_budget)
+    table = legal_words(sub, longest, table=table, budget=budget)
     if u not in table or v not in table:
         raise ValueError("u and v must be legal words")
     achievable = []

@@ -14,22 +14,22 @@ nothing and is reported as such.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    DEFAULT_BUDGET,
     Alphabet,
     RandomSubstitution,
     Rule,
     Word,
     _realisation_map,
+    letter_counts,
     with_probabilities,
 )
-from .core import DEFAULT_REALISATION_BUDGET
 from .errors import NotPrimitiveError
-from .language import DEFAULT_WINDOW_BUDGET, LanguageTable, legal_words
+from .language import LanguageTable, legal_words
 from .matrices import DEFAULT_PF_TOL, _perron_right, is_primitive, perron_data, substitution_matrix
 
 DEFAULT_SCAN_TOL = 1e-6
@@ -57,8 +57,7 @@ def induced_substitution(
     sub: RandomSubstitution,
     ell: int,
     table: LanguageTable | None = None,
-    budget: int = DEFAULT_REALISATION_BUDGET,
-    window_budget: int = DEFAULT_WINDOW_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> InducedSubstitution:
     """Build the induced substitution on legal ell-words."""
     if ell < 1:
@@ -70,7 +69,7 @@ def induced_substitution(
         words = tuple(sorted(occurring))
         legal = occurring
     else:
-        table = legal_words(sub, ell, table=table, budget=window_budget)
+        table = legal_words(sub, ell, table=table, budget=budget)
         words = table.words(ell)
         legal = set(words)
     if sub.alphabet.needs_dots:
@@ -144,8 +143,7 @@ def word_frequencies(
     ell: int,
     table: LanguageTable | None = None,
     tol: float = DEFAULT_PF_TOL,
-    budget: int = DEFAULT_REALISATION_BUDGET,
-    window_budget: int = DEFAULT_WINDOW_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> FrequencyVector:
     """Frequencies of the legal ell-words under the stationary measure.
 
@@ -154,9 +152,7 @@ def word_frequencies(
     weighted matrix itself non-primitive, in which case entries of the
     result can be zero).
     """
-    ind = induced_substitution(
-        sub, ell, table=table, budget=budget, window_budget=window_budget
-    )
+    ind = induced_substitution(sub, ell, table=table, budget=budget)
     if not induced_is_primitive(ind):
         raise NotPrimitiveError(f"induced substitution at ell={ell} is not primitive")
     right = _perron_right(induced_matrix(ind), sub.is_degenerate, tol=tol)
@@ -204,56 +200,39 @@ class ErgodicityVerdict:
         return "not-uniquely-ergodic" if self.not_uniquely_ergodic else "consistent-up-to"
 
 
-def _validate_grid_point(
-    sub: RandomSubstitution, point: dict[str, tuple[float, ...]]
-) -> None:
-    probed = with_probabilities(sub, point)
-    if probed.is_degenerate:
-        raise ValueError(
-            "degenerate grid point (a probability is 0); the scan only covers "
-            "non-degenerate probability assignments"
-        )
-
-
 def unique_ergodicity_scan(
     sub: RandomSubstitution,
     ell_max: int,
     grid: list[dict[str, tuple[float, ...]]],
     tol: float = DEFAULT_SCAN_TOL,
-    budget: int = DEFAULT_REALISATION_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> ErgodicityVerdict:
     """Compare frequency vectors across a grid of probability assignments.
 
-    Grid points are independent pure computations, so with ``threads > 1``
-    they are evaluated by a thread pool; the verdict is identical either
-    way.  It carries the most probability-sensitive entry as witness:
+    ``threads`` is accepted for compatibility and has no effect: the work
+    holds the interpreter lock, so a pool measured no faster.  The verdict
+    carries the most probability-sensitive entry as witness:
     among all (ell, word) whose value varies by more than ``tol`` across
     the grid, the one with the largest high/low ratio, ties broken in
     canonical (ell, word) order.
     """
     if len(grid) < 2:
         raise ValueError("the scan needs at least two grid points")
-    for point in grid:
-        _validate_grid_point(sub, point)
+    probed = [with_probabilities(sub, point) for point in grid]
+    if any(p.is_degenerate for p in probed):
+        raise ValueError(
+            "degenerate grid point (a probability is 0); the scan only covers "
+            "non-degenerate probability assignments"
+        )
     if not is_primitive(sub):
         raise NotPrimitiveError("unique-ergodicity scan requires a primitive substitution")
 
-    table = legal_words(sub, ell_max)
+    table = legal_words(sub, ell_max, budget=budget)
     witness: ErgodicityWitness | None = None
     witness_ratio = 0.0
     for ell in range(1, ell_max + 1):
-
-        def freqs_at(point: dict[str, tuple[float, ...]]) -> FrequencyVector:
-            return word_frequencies(
-                with_probabilities(sub, point), ell, table=table, budget=budget
-            )
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                vectors = list(pool.map(freqs_at, grid))
-        else:
-            vectors = [freqs_at(point) for point in grid]
+        vectors = [word_frequencies(p, ell, table=table, budget=budget) for p in probed]
         words = vectors[0].words
         for w_index, word in enumerate(words):
             values = [vec.values[w_index] for vec in vectors]
@@ -325,9 +304,7 @@ def ratio_condition_check(
     violations = []
     checked = 0
     for rule in sub.rules:
-        counts = [
-            [image.count(chr(i)) for i in range(n)] for image in rule.images
-        ]
+        counts = [letter_counts(image, n) for image in rule.images]
         for q1 in range(rule.arity):
             for q2 in range(q1 + 1, rule.arity):
                 for i1 in range(n):

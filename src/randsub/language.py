@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import RandomSubstitution, Word, same_support, subwords
+from .core import DEFAULT_BUDGET, RandomSubstitution, Word, same_support, subwords
 from .errors import BudgetExceededError, EmptySubshiftError, NotPrimitiveError
 from .matrices import is_primitive
-
-DEFAULT_WINDOW_BUDGET = 10**7
 
 
 def is_empty_subshift(sub: RandomSubstitution) -> bool:
@@ -46,7 +44,7 @@ class LanguageTable:
     afterwards; ``extend`` mutates in place and re-runs the closure.
     """
 
-    def __init__(self, sub: RandomSubstitution, max_len: int, budget: int = DEFAULT_WINDOW_BUDGET):
+    def __init__(self, sub: RandomSubstitution, max_len: int, budget: int = DEFAULT_BUDGET):
         if max_len < 1:
             raise ValueError("max_len must be at least 1")
         self.sub = sub
@@ -126,7 +124,11 @@ class LanguageTable:
                         if len(grown) < ell:
                             partials.add(grown)
             if work > budget:
-                raise BudgetExceededError("language closure window budget exhausted", budget)
+                raise BudgetExceededError(
+                    f"language closure to length {ell}: {work} window extensions "
+                    f"in round {rounds}",
+                    budget,
+                )
             live[word] = tuple(sorted(partials))
             result = frozenset(emitted)
             emitted_of[word] = result
@@ -173,7 +175,7 @@ def legal_words(
     sub: RandomSubstitution,
     ell: int,
     table: LanguageTable | None = None,
-    budget: int = DEFAULT_WINDOW_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> LanguageTable:
     """Language table holding exactly the legal words of lengths 1..ell."""
     if table is None:

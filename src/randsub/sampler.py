@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSubstitution, Word
+from .core import DEFAULT_BUDGET, RandomSubstitution, Word
 from .errors import DegenerateRuleError, WordTooShortError
 from .induced import FrequencyVector, word_frequencies
-from .language import LanguageTable
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -118,22 +117,24 @@ def _count_windows_py(word: Word, ell: int) -> dict[Word, int]:
     return counts
 
 
+def _frequencies(counts: dict[Word, int], total: int) -> dict[Word, float]:
+    """Window counts over their total, in canonical word order."""
+    return {w: c / total for w, c in sorted(counts.items())}
+
+
 def empirical_frequencies(word: Word, ell: int) -> dict[Word, float]:
     """Relative counts of the length-ell windows of ``word``."""
     if ell < 1:
         raise ValueError("ell must be at least 1")
     if len(word) < ell:
         raise WordTooShortError(f"word of length {len(word)} has no {ell}-windows")
-    total = len(word) - ell + 1
-    counts = _count_windows_py(word, ell)
-    return {w: c / total for w, c in sorted(counts.items())}
+    return _frequencies(_count_windows_py(word, ell), len(word) - ell + 1)
 
 
 def _window_counts(arr: np.ndarray, ell: int, n_letters: int) -> dict[Word, int]:
     m = len(arr) - ell + 1
     if n_letters**ell > 2**62:  # code packing would overflow; count directly
-        word = "".join(map(chr, arr.tolist()))
-        return {w: c for w, c in sorted(_count_windows_py(word, ell).items())}
+        return _count_windows_py("".join(map(chr, arr.tolist())), ell)
     codes = np.zeros(m, dtype=np.int64)
     for t in range(ell):
         codes = codes * n_letters + arr[t : m + t].astype(np.int64)
@@ -178,7 +179,7 @@ def frequency_report(
     k: int,
     seed: int,
     start_letter: int | str | None = None,
-    table: LanguageTable | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> SampleReport:
     """Sample one realisation of depth k and compare its window
     frequencies with the stationary prediction."""
@@ -188,20 +189,19 @@ def frequency_report(
         start = sub.alphabet.index(start_letter)
     else:
         start = start_letter
-    predicted = word_frequencies(sub, ell, table=table)
+    predicted = word_frequencies(sub, ell, budget=budget)
     arr = _expand_levels(sub, start, k, seed)
     if len(arr) < ell:
         raise WordTooShortError(
             f"sample of length {len(arr)} is shorter than ell={ell}; increase the depth"
         )
-    total = len(arr) - ell + 1
-    counts = _window_counts(arr, ell, sub.n_letters)
-    empirical = {w: c / total for w, c in sorted(counts.items())}
+    empirical = _frequencies(_window_counts(arr, ell, sub.n_letters), len(arr) - ell + 1)
     deviation = 0.0
     for word, pred in zip(predicted.words, predicted.values):
         deviation = max(deviation, abs(empirical.get(word, 0.0) - pred))
+    legal = set(predicted.words)
     for word, emp in empirical.items():
-        if word not in predicted.words:
+        if word not in legal:
             deviation = max(deviation, emp)
     return SampleReport(
         seed=seed,

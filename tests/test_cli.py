@@ -3,6 +3,7 @@ import math
 import pytest
 
 import randsub as rs
+from randsub import cli
 from randsub.cli import main
 
 
@@ -53,6 +54,42 @@ class TestExitCodes:
         )
         assert code == 0
         assert "lower_status,splitting-pair" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("induced", "--example", "random-fibonacci", "--ell", "4", "--budget", "10"),
+            ("freq", "--example", "random-fibonacci", "--ell", "4", "--budget", "10"),
+            ("ergodicity", "--example", "random-fibonacci", "--lmax", "9", "--budget", "100"),
+            ("entropy", "--example", "period-doubling", "--lmax", "8", "--budget", "10"),
+            ("periodic", "--example", "period-doubling", "--nmax", "4", "--budget", "10"),
+            ("zeta", "--example", "period-doubling", "--nmax", "4", "--budget", "10"),
+            ("mixing", "--example", "period-doubling", "--u", "0", "--v", "0",
+             "--nmax", "4", "--budget", "10"),
+            ("sample", "--example", "random-fibonacci", "--depth", "10", "--ell", "4",
+             "--budget", "10"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_enumerating_subcommand_honours_budget(self, capsys, tmp_path, argv):
+        if argv[0] == "ergodicity":
+            grid = tmp_path / "grid.txt"
+            grid.write_text("a:0.5,0.5\na:0.9,0.1\n")
+            argv = (*argv, "--grid", str(grid))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: language closure to length ")
+
+    def test_library_key_error_is_not_a_usage_error(self, monkeypatch):
+        # A KeyError can only come from a fault in the program, never
+        # from input: it must surface instead of turning into exit 2.
+        def broken(args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "_cmd_info", broken)
+        with pytest.raises(KeyError):
+            main(["info", "--example", "golden"])
 
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -185,6 +185,12 @@ class TestErgodicityScan:
         b = rs.unique_ergodicity_scan(fib, 2, grid, threads=4)
         assert a == b
 
+    def test_budget_caps_the_language_closure(self):
+        fib = rs.get_example("random-fibonacci")
+        grid = [{"a": (0.5, 0.5)}, {"a": (0.9, 0.1)}]
+        with pytest.raises(rs.BudgetExceededError, match="closure to length 9"):
+            rs.unique_ergodicity_scan(fib, 9, grid, budget=100)
+
     def test_deterministic_substitution_consistent(self):
         det = rs.parse_spec("alphabet: a b\nrule a -> ab:1\nrule b -> a:1\n")
         verdict = rs.unique_ergodicity_scan(det, 2, [{"a": (1.0,)}, {"a": (1.0,)}])

@@ -123,6 +123,14 @@ class TestTableMechanics:
         with pytest.raises(rs.BudgetExceededError):
             rs.legal_words(rs.get_example("sofic-ab"), 20, budget=50)
 
+    def test_budget_error_names_length_round_and_work(self):
+        with pytest.raises(rs.BudgetExceededError) as info:
+            rs.legal_words(rs.get_example("sofic-ab"), 20, budget=50)
+        assert str(info.value) == (
+            "language closure to length 20: 64 window extensions in round 3 (budget 50)"
+        )
+        assert info.value.budget == 50
+
     def test_wrong_table_rejected(self):
         fib = rs.get_example("random-fibonacci")
         pd = rs.get_example("period-doubling")

@@ -92,6 +92,28 @@ def materialising_splitting_pairs(sub, k_max, budget=10**6):
     return pairs
 
 
+def dp_max_realisation_lengths(sub, k_max):
+    """The longest k-th image lengths by their own DP, as an oracle."""
+    longest = [1] * sub.n_letters
+    out = []
+    for _ in range(k_max):
+        longest = [
+            max(sum(longest[ord(c)] for c in image) for image in rule.images)
+            for rule in sub.rules
+        ]
+        out.append(max(longest))
+    return out
+
+
+class TestMaxRealisationLengths:
+    def test_pool_and_registry_match_dp(self, pool, registry):
+        for sub in pool + registry:
+            for k_max in range(6):
+                assert rs.max_realisation_lengths(sub, k_max) == dp_max_realisation_lengths(
+                    sub, k_max
+                )
+
+
 class TestRealisationStreams:
     def test_power_stream_order_on_pool_and_registry(self, pool, registry):
         for sub in pool + registry:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import randsub as rs
+from randsub.sampler import _count_windows_py, _window_counts
 
 # Pinned outputs of the documented generator (seed 1729, depth 0).
 STREAM_VECTORS = [
@@ -75,6 +76,14 @@ class TestEmpiricalFrequencies:
         with pytest.raises(rs.WordTooShortError):
             rs.empirical_frequencies("ab", 3)
 
+    def test_packed_and_direct_window_counts_agree(self):
+        # Binary windows pack into int64 codes up to ell 62; from ell 63
+        # the counter falls back to counting strings directly.
+        word = rs.sample_realisation(rs.get_example("random-fibonacci"), "a", 12, 3)
+        arr = np.fromiter(map(ord, word), dtype=np.uint16)
+        for ell in (1, 5, 62, 63):
+            assert _window_counts(arr, ell, 2) == _count_windows_py(word, ell)
+
     def test_frequencies_sum_to_one(self):
         fib = rs.get_example("random-fibonacci")
         w = rs.sample_realisation(fib, "a", 12, 3)
@@ -103,6 +112,11 @@ class TestFrequencyReport:
         a = rs.frequency_report(fib, 2, 12, 5)
         b = rs.frequency_report(fib, 2, 12, 5)
         assert a == b
+
+    def test_budget_caps_the_prediction(self):
+        fib = rs.get_example("random-fibonacci")
+        with pytest.raises(rs.BudgetExceededError, match="closure to length 4"):
+            rs.frequency_report(fib, 4, 10, 0, budget=10)
 
     def test_deviation_shrinks_to_threshold_for_deterministic(self):
         det = rs.parse_spec("alphabet: a b\nrule a -> ab:1\nrule b -> a:1\n")
