@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_BUDGET, RandomSubstitution, Word
-from .errors import DegenerateRuleError, WordTooShortError
+from .errors import BudgetExceededError, DegenerateRuleError, WordTooShortError
 from .induced import FrequencyVector, word_frequencies
+from .language import code_base, code_dtype, decode_codes, encode_rows
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -71,10 +72,10 @@ class _RuleTables:
 
 
 def _expand_levels(
-    sub: RandomSubstitution, letter: int, k: int, seed: int
+    sub: RandomSubstitution, letter: int, k: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:
     """The chosen realisation of the k-th image of a letter, as an array
-    of letter indices."""
+    of letter indices; no level longer than ``budget`` letters is built."""
     tables = _RuleTables(sub)
     word = np.array([letter], dtype=np.uint16)
     for depth in range(k):
@@ -87,8 +88,15 @@ def _expand_levels(
             picked = np.minimum(picked, len(tables.cumprobs[a]) - 1)
             choices[mask] = picked
             lengths[mask] = tables.lengths[a][picked]
+        total = int(lengths.sum())
+        if total > budget:
+            raise BudgetExceededError(
+                f"sample of letter {sub.alphabet.letters[letter]}: {total} letters "
+                f"at level {depth + 1} of {k}",
+                budget,
+            )
         starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        out = np.empty(int(lengths.sum()), dtype=np.uint16)
+        out = np.empty(total, dtype=np.uint16)
         for a in np.unique(word):
             for j, image in enumerate(tables.images[a]):
                 sel = starts[(word == a) & (choices == j)]
@@ -98,14 +106,16 @@ def _expand_levels(
     return word
 
 
-def sample_realisation(sub: RandomSubstitution, letter: int | str, k: int, seed: int) -> Word:
+def sample_realisation(
+    sub: RandomSubstitution, letter: int | str, k: int, seed: int, budget: int = DEFAULT_BUDGET
+) -> Word:
     """One realisation of the k-th image of ``letter``, deterministic in
     (sub, letter, k, seed)."""
     if k < 0:
         raise ValueError("depth must be non-negative")
     if isinstance(letter, str):
         letter = sub.alphabet.index(letter)
-    arr = _expand_levels(sub, letter, k, seed)
+    arr = _expand_levels(sub, letter, k, seed, budget)
     return "".join(map(chr, arr.tolist()))
 
 
@@ -132,21 +142,11 @@ def empirical_frequencies(word: Word, ell: int) -> dict[Word, float]:
 
 
 def _window_counts(arr: np.ndarray, ell: int, n_letters: int) -> dict[Word, int]:
-    m = len(arr) - ell + 1
-    if n_letters**ell > 2**62:  # code packing would overflow; count directly
-        return _count_windows_py("".join(map(chr, arr.tolist())), ell)
-    codes = np.zeros(m, dtype=np.int64)
-    for t in range(ell):
-        codes = codes * n_letters + arr[t : m + t].astype(np.int64)
+    base = code_base(n_letters)
+    windows = np.lib.stride_tricks.sliding_window_view(arr, ell)
+    codes = encode_rows(windows, base, code_dtype(base, ell))
     values, counts = np.unique(codes, return_counts=True)
-    out: dict[Word, int] = {}
-    for code, c in zip(values.tolist(), counts.tolist()):
-        letters = []
-        for _ in range(ell):
-            letters.append(code % n_letters)
-            code //= n_letters
-        out["".join(chr(x) for x in reversed(letters))] = c
-    return out
+    return dict(zip(decode_codes(values, ell, base), counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def frequency_report(
     else:
         start = start_letter
     predicted = word_frequencies(sub, ell, budget=budget)
-    arr = _expand_levels(sub, start, k, seed)
+    arr = _expand_levels(sub, start, k, seed, budget)
     if len(arr) < ell:
         raise WordTooShortError(
             f"sample of length {len(arr)} is shorter than ell={ell}; increase the depth"

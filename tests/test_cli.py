@@ -81,6 +81,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: language closure to length ")
 
+    def test_budget_caps_the_sample_expansion(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--example", "period-doubling", "--depth", "20",
+            "--budget", "1000", "--ell", "2",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: sample of letter 0: 1024 letters at level 10 of 20")
+
     def test_library_key_error_is_not_a_usage_error(self, monkeypatch):
         # A KeyError can only come from a fault in the program, never
         # from input: it must surface instead of turning into exit 2.

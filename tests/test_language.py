@@ -131,6 +131,25 @@ class TestTableMechanics:
         )
         assert info.value.budget == 50
 
+    def test_passed_table_extends_under_the_callers_budget(self):
+        sofic = rs.get_example("sofic-ab")
+        table = rs.legal_words(sofic, 3)
+        with pytest.raises(rs.BudgetExceededError) as info:
+            rs.legal_words(sofic, 20, table=table, budget=50)
+        assert str(info.value) == (
+            "language closure to length 20: 64 window extensions in round 3 (budget 50)"
+        )
+        assert table.max_len == 3
+
+    def test_codes_decode_to_sorted_words(self, tables):
+        table = tables("period-doubling", 18)
+        for ell in (1, 7, 18):
+            words = table.words(ell)
+            assert len(words) == table.count(ell)
+            assert list(words) == sorted(set(words))
+            assert all(len(w) == ell and w in table for w in words)
+        assert "\x02" not in table and "\x01" * 3 not in table
+
     def test_wrong_table_rejected(self):
         fib = rs.get_example("random-fibonacci")
         pd = rs.get_example("period-doubling")

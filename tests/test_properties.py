@@ -2,6 +2,7 @@
 randomly generated small primitive substitutions."""
 
 import random
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,127 @@ class TestLanguageInvariants:
             for k in range(1, 8):
                 for ell in range(1, 9 - k):
                     assert counts[k + ell - 1] <= counts[k - 1] * counts[ell - 1]
+
+
+def str_closure(sub, ell, budget):
+    """Reference: the language closure on sets of str windows, as it was
+    before words were coded as integers.  Returns the legal words per
+    length and the per-length stabilisation rounds."""
+    rules = sub.rules
+    work = 0
+    live = {}
+    emitted_of = {}
+
+    def process(word):
+        nonlocal work
+        if word in emitted_of:
+            return emitted_of[word]
+        emitted = set()
+        partials = set()
+        if len(word) == 1:
+            for image in rules[ord(word)].images:
+                for offset in range(len(image)):
+                    tail = image[offset:]
+                    work += 1
+                    emitted.add(tail[:ell])
+                    if len(tail) < ell:
+                        partials.add(tail)
+        else:
+            process(word[:-1])
+            for stem in live[word[:-1]]:
+                for image in rules[ord(word[-1])].images:
+                    grown = stem + image
+                    work += 1
+                    emitted.add(grown[:ell])
+                    if len(grown) < ell:
+                        partials.add(grown)
+        if work > budget:
+            raise rs.BudgetExceededError(
+                f"language closure to length {ell}: {work} window extensions "
+                f"in round {rounds}",
+                budget,
+            )
+        live[word] = tuple(sorted(partials))
+        emitted_of[word] = frozenset(emitted)
+        return emitted_of[word]
+
+    known, derived, round_added = set(), set(), {}
+    frontier = sorted(chr(i) for i in range(sub.n_letters))
+    known.update(frontier)
+    rounds = 0
+    queue = deque(frontier)
+    while queue:
+        rounds += 1
+        fresh = set()
+        for _ in range(len(queue)):
+            word = queue.popleft()
+            for window in process(word):
+                if window not in known:
+                    fresh.add(window)
+                if window not in derived:
+                    derived.add(window)
+                    for piece in rs.subwords(window):
+                        derived.add(piece)
+                        if piece not in known:
+                            fresh.add(piece)
+            emitted_of[word] = frozenset()
+        for word in sorted(fresh):
+            known.add(word)
+            round_added[len(word)] = rounds
+            queue.append(word)
+    words = {m: tuple(sorted(w for w in derived if len(w) == m)) for m in range(1, ell + 1)}
+    return words, {m: round_added.get(m, 0) for m in range(1, ell + 1)}
+
+
+def closure_outcome(close, sub, ell, budget):
+    """(words per length, stabilized_at), or the budget error's text."""
+    try:
+        return close(sub, ell, budget)
+    except rs.BudgetExceededError as exc:
+        return str(exc)
+
+
+def table_closure(sub, ell, budget):
+    table = rs.LanguageTable(sub, ell, budget=budget)
+    return {m: table.words(m) for m in range(1, ell + 1)}, table.stabilized_at
+
+
+def assert_closures_agree(sub, ell, budget=10**8):
+    expect = closure_outcome(str_closure, sub, ell, budget)
+    assert closure_outcome(table_closure, sub, ell, budget) == expect, (rs.serialize(sub), ell)
+
+
+class TestLanguageOracle:
+    def test_pool_tables_match(self, pool):
+        for sub in pool:
+            if rs.is_empty_subshift(sub):
+                continue
+            for ell in (1, 2, 3, 5, 8):
+                assert_closures_agree(sub, ell)
+
+    def test_registry_tables_match(self, registry):
+        for sub, name in zip(registry, rs.example_names()):
+            if rs.is_empty_subshift(sub):
+                continue
+            for ell in (1, 4, 12) if name == "full-shift-2" else (1, 4, 11, 18):
+                assert_closures_agree(sub, ell)
+
+    def test_budget_errors_match(self, pool, registry):
+        for sub, ell in [(sub, 8) for sub in pool] + [(sub, 12) for sub in registry]:
+            if rs.is_empty_subshift(sub):
+                continue
+            for budget in (50, 1000, 5000):
+                assert_closures_agree(sub, ell, budget)
+
+    def test_wide_codes_match(self):
+        # 3^(40 + 2) >= 2^62, so this closure runs on Python-int codes
+        tribonacci = rs.parse_spec(
+            "alphabet: a b c\nrule a -> ab:1\nrule b -> ac:1\nrule c -> a:1\n"
+        )
+        assert rs.language.code_dtype(3, 40 + tribonacci.max_image_len) is object
+        for budget in (10**8, 50, 100):
+            assert_closures_agree(tribonacci, 40, budget)
+        assert rs.legal_words(tribonacci, 40).count(40) == 81
 
 
 class TestInducedPrimitivity:

@@ -77,8 +77,8 @@ class TestEmpiricalFrequencies:
             rs.empirical_frequencies("ab", 3)
 
     def test_packed_and_direct_window_counts_agree(self):
-        # Binary windows pack into int64 codes up to ell 62; from ell 63
-        # the counter falls back to counting strings directly.
+        # Binary windows pack into int64 codes up to ell 61; from ell 62
+        # the shared codec runs on Python-int codes.
         word = rs.sample_realisation(rs.get_example("random-fibonacci"), "a", 12, 3)
         arr = np.fromiter(map(ord, word), dtype=np.uint16)
         for ell in (1, 5, 62, 63):
@@ -92,6 +92,14 @@ class TestEmpiricalFrequencies:
 
 
 class TestFrequencyReport:
+    def test_budget_caps_the_expansion(self):
+        pd = rs.get_example("period-doubling")
+        with pytest.raises(rs.BudgetExceededError) as info:
+            rs.frequency_report(pd, 2, 20, 0, budget=1000)
+        assert str(info.value) == (
+            "sample of letter 0: 1024 letters at level 10 of 20 (budget 1000)"
+        )
+
     def test_report_consistent_with_empirical_frequencies(self):
         pd = rs.get_example("period-doubling")
         report = rs.frequency_report(pd, 2, 8, 77)
