@@ -57,12 +57,6 @@ class SplittingReport:
     def found(self) -> tuple[SplittingPair, ...]:
         return tuple(p for p in self.pairs.values() if p is not None)
 
-    def first_for_power(self, k: int) -> SplittingPair | None:
-        for (kk, _letter), pair in sorted(self.pairs.items()):
-            if kk == k and pair is not None:
-                return pair
-        return None
-
 
 def _as_splitting_pair(letter: int, k: int, u: Word, v: Word) -> SplittingPair | None:
     if len(u) > len(v):

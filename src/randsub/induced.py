@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import NotPrimitiveError
 from .language import LanguageTable, legal_words
-from .matrices import DEFAULT_PF_TOL, _perron_right, is_primitive, perron_data, substitution_matrix
+from .matrices import DEFAULT_PF_TOL, _perron_right, is_primitive, substitution_matrix
 
 DEFAULT_SCAN_TOL = 1e-6
 
@@ -49,9 +49,6 @@ class InducedSubstitution:
     words: tuple[Word, ...]
     sub: RandomSubstitution
 
-    def word_index(self, word: Word) -> int:
-        return self.words.index(word)
-
 
 def induced_substitution(
     sub: RandomSubstitution,
@@ -67,11 +64,9 @@ def induced_substitution(
         # language closure (or primitivity) is needed for ell = 1.
         occurring = {c for rule in sub.rules for image in rule.images for c in image}
         words = tuple(sorted(occurring))
-        legal = occurring
     else:
         table = legal_words(sub, ell, table=table, budget=budget)
         words = table.words(ell)
-        legal = set(words)
     if sub.alphabet.needs_dots:
         # dotted names would collide with the image syntax, so join with +
         tokens = ["+".join(sub.alphabet.decode(w)) for w in words]
@@ -96,7 +91,7 @@ def induced_substitution(
                 image_seq = []
                 for k in range(span):
                     window = v[k : k + ell]
-                    if window not in legal:
+                    if window not in position:
                         raise AssertionError(
                             "window of a legal image fell outside the language"
                         )
@@ -298,8 +293,7 @@ def ratio_condition_check(
     """
     if not is_primitive(sub):
         raise NotPrimitiveError("ratio condition check requires a primitive substitution")
-    pf = perron_data(substitution_matrix(sub))
-    r = pf.right
+    r = _perron_right(substitution_matrix(sub), sub.is_degenerate)
     n = sub.n_letters
     violations = []
     checked = 0

@@ -168,7 +168,6 @@ def _power_iterate(m: np.ndarray, tol: float, cap: int) -> tuple[float, np.ndarr
 def perron_data(
     m: np.ndarray,
     tol: float = DEFAULT_PF_TOL,
-    max_iterations: int = PF_ITERATION_CAP,
     require_primitive: bool = True,
 ) -> PerronData:
     """Dominant eigenvalue and eigenvectors by power iteration.
@@ -185,8 +184,8 @@ def perron_data(
         raise ValueError("matrix must be non-negative")
     if require_primitive and not is_primitive_matrix(m):
         raise NotPrimitiveError("matrix is not primitive")
-    lam, right, it_r = _power_iterate(m, tol, max_iterations)
-    _, left_raw, it_l = _power_iterate(m.T, tol, max_iterations)
+    lam, right, it_r = _power_iterate(m, tol, PF_ITERATION_CAP)
+    _, left_raw, it_l = _power_iterate(m.T, tol, PF_ITERATION_CAP)
     left = left_raw / float(left_raw @ right)
     residual = float(np.abs(m @ right - lam * right).max())
     return PerronData(float(lam), right, left, residual, it_r + it_l)
@@ -197,7 +196,8 @@ def _perron_right(m: np.ndarray, degenerate: bool, tol: float = DEFAULT_PF_TOL) 
     support is primitive.  With images of probability zero (``degenerate``)
     that matrix can be irreducible but periodic, where power iteration
     oscillates forever; M + I has the same Perron vector and is aperiodic,
-    so it is iterated instead."""
+    so it is iterated instead.  Only the right vector is iterated."""
+    m = np.asarray(m, dtype=float)
     if degenerate:
         m = m + np.eye(m.shape[0])
-    return perron_data(m, tol=tol, require_primitive=False).right
+    return _power_iterate(m, tol, PF_ITERATION_CAP)[1]

@@ -14,6 +14,10 @@ The variate picks an image by inverse CDF over the rule's images in
 declaration order.  Each level of the expansion is fully determined by
 (seed, depth, positions), independent of how the previous level was
 produced.
+
+All images sit in one flat array.  A level takes one draw per letter: the
+chosen image id is the letter's first id plus the count of its cumulative
+probabilities <= u, and the next level is one gather from the flat array.
 """
 
 from __future__ import annotations
@@ -48,61 +52,53 @@ def stream_u01(seed: int, depth: int, positions: np.ndarray) -> np.ndarray:
     return (_mix64(counters) >> np.uint64(11)) * 2.0**-53
 
 
-class _RuleTables:
-    """Per-letter image tables in numpy form for vectorised expansion."""
-
-    def __init__(self, sub: RandomSubstitution):
-        self.images: list[list[np.ndarray]] = []
-        self.lengths: list[np.ndarray] = []
-        self.cumprobs: list[np.ndarray] = []
-        for rule in sub.rules:
-            total = sum(rule.probabilities)
-            if total <= 0.0:
-                raise DegenerateRuleError(
-                    f"rule for letter {sub.alphabet.letters[rule.source]} has no "
-                    "positive-probability image"
-                )
-            self.images.append(
-                [np.fromiter(map(ord, w), dtype=np.uint16, count=len(w)) for w in rule.images]
-            )
-            self.lengths.append(np.array([len(w) for w in rule.images], dtype=np.int64))
-            cum = np.cumsum(np.asarray(rule.probabilities, dtype=float))
-            cum[-1] = max(cum[-1], 1.0)  # absorb rounding so every u lands
-            self.cumprobs.append(cum)
-
-
 def _expand_levels(
     sub: RandomSubstitution, letter: int, k: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:
     """The chosen realisation of the k-th image of a letter, as an array
     of letter indices; no level longer than ``budget`` letters is built."""
-    tables = _RuleTables(sub)
+    # All images in one flat array, each letter's first image id, and its
+    # cumulative probabilities in one row, padded with inf past its arity.
+    cum = np.full((sub.n_letters, max(rule.arity for rule in sub.rules)), np.inf)
+    images: list[Word] = []
+    first = np.empty(sub.n_letters, dtype=np.int32)
+    for a, rule in enumerate(sub.rules):
+        if sum(rule.probabilities) <= 0.0:
+            raise DegenerateRuleError(
+                f"rule for letter {sub.alphabet.letters[rule.source]} has no "
+                "positive-probability image"
+            )
+        first[a] = len(images)
+        images.extend(rule.images)
+        row = np.cumsum(np.asarray(rule.probabilities, dtype=float))
+        row[-1] = max(row[-1], 1.0)  # absorb rounding so every u lands
+        cum[a, : rule.arity] = row
+    lengths = np.array([len(w) for w in images], dtype=np.int32)
+    starts = (np.cumsum(lengths) - lengths).astype(np.int32)
+    flat = np.fromiter(map(ord, "".join(images)), dtype=np.uint16)
     word = np.array([letter], dtype=np.uint16)
     for depth in range(k):
         u = stream_u01(seed, depth, np.arange(len(word), dtype=np.uint64))
-        choices = np.empty(len(word), dtype=np.int64)
-        lengths = np.empty(len(word), dtype=np.int64)
-        for a in np.unique(word):
-            mask = word == a
-            picked = np.searchsorted(tables.cumprobs[a], u[mask], side="right")
-            picked = np.minimum(picked, len(tables.cumprobs[a]) - 1)
-            choices[mask] = picked
-            lengths[mask] = tables.lengths[a][picked]
-        total = int(lengths.sum())
+        # Inverse CDF: the image id is the letter's first id plus the number
+        # of cumulative probabilities <= u; the last one is >= 1 > u.
+        chosen = first[word]
+        for column in cum[:, :-1].T:
+            chosen += column[word] <= u
+        size = lengths[chosen]
+        total = int(size.sum())
         if total > budget:
             raise BudgetExceededError(
                 f"sample of letter {sub.alphabet.letters[letter]}: {total} letters "
                 f"at level {depth + 1} of {k}",
                 budget,
             )
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        out = np.empty(total, dtype=np.uint16)
-        for a in np.unique(word):
-            for j, image in enumerate(tables.images[a]):
-                sel = starts[(word == a) & (choices == j)]
-                for t, c in enumerate(image):
-                    out[sel + t] = c
-        word = out
+        # The gather index steps by one inside an image; at each head it
+        # jumps from the end of the previous image to the start of its own.
+        jump = starts[chosen]
+        jump[1:] -= (jump + size - 1)[:-1]
+        step = np.ones(total, dtype=np.int32)
+        step[np.cumsum(size) - size] = jump
+        word = flat[np.cumsum(step, dtype=np.int32, out=step)]
     return word
 
 
@@ -119,12 +115,13 @@ def sample_realisation(
     return "".join(map(chr, arr.tolist()))
 
 
-def _count_windows_py(word: Word, ell: int) -> dict[Word, int]:
-    counts: dict[Word, int] = {}
-    for i in range(len(word) - ell + 1):
-        w = word[i : i + ell]
-        counts[w] = counts.get(w, 0) + 1
-    return counts
+def _window_counts(arr: np.ndarray, ell: int, n_letters: int) -> dict[Word, int]:
+    """Counts of the length-ell windows of an array of letters < n_letters."""
+    base = code_base(n_letters)
+    windows = np.lib.stride_tricks.sliding_window_view(arr, ell)
+    codes = encode_rows(windows, base, code_dtype(base, ell))
+    values, counts = np.unique(codes, return_counts=True)
+    return dict(zip(decode_codes(values, ell, base), counts.tolist()))
 
 
 def _frequencies(counts: dict[Word, int], total: int) -> dict[Word, float]:
@@ -138,15 +135,8 @@ def empirical_frequencies(word: Word, ell: int) -> dict[Word, float]:
         raise ValueError("ell must be at least 1")
     if len(word) < ell:
         raise WordTooShortError(f"word of length {len(word)} has no {ell}-windows")
-    return _frequencies(_count_windows_py(word, ell), len(word) - ell + 1)
-
-
-def _window_counts(arr: np.ndarray, ell: int, n_letters: int) -> dict[Word, int]:
-    base = code_base(n_letters)
-    windows = np.lib.stride_tricks.sliding_window_view(arr, ell)
-    codes = encode_rows(windows, base, code_dtype(base, ell))
-    values, counts = np.unique(codes, return_counts=True)
-    return dict(zip(decode_codes(values, ell, base), counts.tolist()))
+    arr = np.fromiter(map(ord, word), dtype=np.uint32, count=len(word))
+    return _frequencies(_window_counts(arr, ell, int(arr.max()) + 1), len(word) - ell + 1)
 
 
 @dataclass(frozen=True)
@@ -183,12 +173,9 @@ def frequency_report(
 ) -> SampleReport:
     """Sample one realisation of depth k and compare its window
     frequencies with the stationary prediction."""
-    if start_letter is None:
-        start = 0
-    elif isinstance(start_letter, str):
-        start = sub.alphabet.index(start_letter)
-    else:
-        start = start_letter
+    start = 0 if start_letter is None else start_letter
+    if isinstance(start, str):
+        start = sub.alphabet.index(start)
     predicted = word_frequencies(sub, ell, budget=budget)
     arr = _expand_levels(sub, start, k, seed, budget)
     if len(arr) < ell:
@@ -196,13 +183,11 @@ def frequency_report(
             f"sample of length {len(arr)} is shorter than ell={ell}; increase the depth"
         )
     empirical = _frequencies(_window_counts(arr, ell, sub.n_letters), len(arr) - ell + 1)
-    deviation = 0.0
-    for word, pred in zip(predicted.words, predicted.values):
-        deviation = max(deviation, abs(empirical.get(word, 0.0) - pred))
-    legal = set(predicted.words)
-    for word, emp in empirical.items():
-        if word not in legal:
-            deviation = max(deviation, emp)
+    expected = predicted.as_dict()
+    deviation = max(
+        abs(empirical.get(w, 0.0) - expected.get(w, 0.0))
+        for w in expected.keys() | empirical.keys()
+    )
     return SampleReport(
         seed=seed,
         start_letter=start,

@@ -234,3 +234,14 @@ class TestRatioCondition:
         det = rs.parse_spec("alphabet: a b\nrule a -> ab:1\nrule b -> a:1\n")
         report = rs.ratio_condition_check(det)
         assert report.holds and report.checked == 0
+
+    def test_primitive_degenerate_substitution_is_checked(self):
+        # The expected matrix [[0, 1], [2, 0]] is periodic, but the
+        # set-valued substitution is primitive; R = (sqrt2 - 1, 2 - sqrt2).
+        sub = rs.parse_spec("alphabet: a b\nrule a -> bb:1 | a:0\nrule b -> a:1\n")
+        assert rs.is_primitive(sub)
+        report = rs.ratio_condition_check(sub)
+        assert report.checked == 1
+        (violation,) = report.violations
+        assert (violation.letter, violation.image_pair, violation.letter_pair) == (0, (0, 1), (0, 1))
+        assert violation.residual == pytest.approx(2**0.5, abs=1e-9)

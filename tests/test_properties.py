@@ -10,6 +10,7 @@ import pytest
 
 import randsub as rs
 from randsub.core import power_realisation_words
+from randsub.sampler import _expand_levels, stream_u01
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -476,3 +477,81 @@ class TestSamplerReproducibility:
         a = rs.frequency_report(sub, 1, 8, 2024)
         b = rs.frequency_report(sub, 1, 8, 2024)
         assert a == b
+
+
+class _RuleTables:
+    """Per-letter image tables of the scatter sampler below."""
+
+    def __init__(self, sub):
+        self.images = []
+        self.lengths = []
+        self.cumprobs = []
+        for rule in sub.rules:
+            self.images.append(
+                [np.fromiter(map(ord, w), dtype=np.uint16, count=len(w)) for w in rule.images]
+            )
+            self.lengths.append(np.array([len(w) for w in rule.images], dtype=np.int64))
+            cum = np.cumsum(np.asarray(rule.probabilities, dtype=float))
+            cum[-1] = max(cum[-1], 1.0)
+            self.cumprobs.append(cum)
+
+
+def scatter_expand_levels(sub, letter, k, seed):
+    """Reference: the sampler as it was before the flat image table, with
+    a searchsorted per letter and a scatter per (letter, image, offset)."""
+    tables = _RuleTables(sub)
+    word = np.array([letter], dtype=np.uint16)
+    for depth in range(k):
+        u = stream_u01(seed, depth, np.arange(len(word), dtype=np.uint64))
+        choices = np.empty(len(word), dtype=np.int64)
+        lengths = np.empty(len(word), dtype=np.int64)
+        for a in np.unique(word):
+            mask = word == a
+            picked = np.searchsorted(tables.cumprobs[a], u[mask], side="right")
+            picked = np.minimum(picked, len(tables.cumprobs[a]) - 1)
+            choices[mask] = picked
+            lengths[mask] = tables.lengths[a][picked]
+        total = int(lengths.sum())
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        out = np.empty(total, dtype=np.uint16)
+        for a in np.unique(word):
+            for j, image in enumerate(tables.images[a]):
+                sel = starts[(word == a) & (choices == j)]
+                for t, c in enumerate(image):
+                    out[sel + t] = c
+        word = out
+    return word
+
+
+# Mixed arities with non-dyadic probabilities, and a zero-probability
+# image whose expected matrix is periodic.
+HAND_SAMPLER_SPECS = (
+    "alphabet: a b c\nrule a -> ab:0.3 | c:0.1 | bca:0.6\nrule b -> a:1/3 | cc:2/3\n"
+    "rule c -> b:1\n",
+    "alphabet: a b\nrule a -> bb:1 | a:0\nrule b -> a:1\n",
+)
+SAMPLER_SEEDS = (0, 1, -3, 2**64 + 5)
+
+
+def assert_samplers_agree(sub, depths, seeds=SAMPLER_SEEDS):
+    for letter in range(sub.n_letters):
+        for depth in depths:
+            for seed in seeds:
+                got = _expand_levels(sub, letter, depth, seed)
+                want = scatter_expand_levels(sub, letter, depth, seed)
+                assert got.dtype == want.dtype, (letter, depth, seed)
+                assert np.array_equal(got, want), (letter, depth, seed)
+
+
+class TestSamplerOracle:
+    def test_pool_levels_match(self, pool):
+        for sub in pool:
+            assert_samplers_agree(sub, range(7))
+
+    def test_registry_levels_match(self, registry):
+        for sub in registry:
+            assert_samplers_agree(sub, (8,))
+
+    def test_hand_specs_match(self):
+        for text in HAND_SAMPLER_SPECS:
+            assert_samplers_agree(rs.parse_spec(text), (1, 5, 12), SAMPLER_SEEDS + (2**70,))

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import randsub as rs
-from randsub.sampler import _count_windows_py, _window_counts
+from randsub.sampler import _window_counts
+
+
+def _count_windows_py(word, ell):
+    """Oracle: window counts by slicing the string."""
+    counts = {}
+    for i in range(len(word) - ell + 1):
+        w = word[i : i + ell]
+        counts[w] = counts.get(w, 0) + 1
+    return counts
 
 # Pinned outputs of the documented generator (seed 1729, depth 0).
 STREAM_VECTORS = [
@@ -30,7 +39,33 @@ class TestStream:
         assert (u >= 0).all() and (u < 1).all()
 
 
+def _unmix64(z):
+    """Inverse of the SplitMix64 finaliser on Python ints."""
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    mask = 2**64 - 1
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) & mask
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask
+    return unshift(z, 30)
+
+
 class TestSampleRealisation:
+    def test_variate_on_a_cumulative_probability_picks_the_next_image(self):
+        # The seed that makes u exactly 1/2 at depth 0, position 0, found by
+        # inverting the generator.  The inverse CDF counts the cumulative
+        # probabilities <= u, so u = 1/2 picks the second of two halves.
+        golden = 0x9E3779B97F4A7C15
+        key = (_unmix64(2**63) - golden) % 2**64
+        seed = (_unmix64(key) - golden) % 2**64
+        assert rs.stream_u01(seed, 0, np.zeros(1, dtype=np.uint64))[0] == 0.5
+        sub = rs.parse_spec("alphabet: a b\nrule a -> a:1/2 | b:1/2\nrule b -> a:1\n")
+        assert rs.sample_realisation(sub, "a", 1, seed) == chr(1)
+
     def test_period_doubling_length_is_power_of_two(self):
         pd = rs.get_example("period-doubling")
         for seed in (0, 1, 42):
@@ -83,6 +118,16 @@ class TestEmpiricalFrequencies:
         arr = np.fromiter(map(ord, word), dtype=np.uint16)
         for ell in (1, 5, 62, 63):
             assert _window_counts(arr, ell, 2) == _count_windows_py(word, ell)
+
+    def test_non_index_string_matches_oracle(self):
+        # Letters are code points 97 and 98 here, so the codes use base 99.
+        word = "abba" * 50
+        for ell in (1, 3, 63):
+            total = len(word) - ell + 1
+            expected = {w: c / total for w, c in sorted(_count_windows_py(word, ell).items())}
+            got = rs.empirical_frequencies(word, ell)
+            assert got == expected
+            assert list(got) == list(expected)
 
     def test_frequencies_sum_to_one(self):
         fib = rs.get_example("random-fibonacci")
