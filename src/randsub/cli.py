@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Every subcommand reads a substitution from --spec FILE or a bundled
---example NAME and emits deterministic CSV-style text (comma separator,
-'.' decimal point, LF line endings, header rows) to stdout or --out.
+--example NAME and yields deterministic CSV-style lines (comma separator,
+'.' decimal point, LF endings, header rows); ``main`` writes them once.
 
 Exit codes: 0 success; 1 domain error (empty subshift, not primitive,
 no convergence, ...); 2 usage or spec-format error; 3 budget exhausted.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 
 from .core import (
     DEFAULT_BUDGET,
@@ -78,117 +79,83 @@ def _format_assignment(point: dict[str, tuple[float, ...]]) -> str:
     )
 
 
-class _Output:
-    def __init__(self, path: str | None):
-        self.path = path
-        self.lines: list[str] = []
-
-    def row(self, *cells) -> None:
-        self.lines.append(",".join(str(c) for c in cells))
-
-    def blank(self) -> None:
-        self.lines.append("")
-
-    def raw(self, text: str) -> None:
-        self.lines.extend(text.rstrip("\n").split("\n"))
-
-    def flush(self) -> None:
-        payload = "\n".join(self.lines) + "\n"
-        if self.path is None:
-            sys.stdout.write(payload)
-        else:
-            with open(self.path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(payload)
+def _row(*cells) -> str:
+    return ",".join(str(c) for c in cells)
 
 
-def _matrix_rows(out: _Output, labels: list[str], matrix) -> None:
-    out.row("", *labels)
+def _matrix_rows(labels: list[str], matrix) -> Iterator[str]:
+    yield _row("", *labels)
     for label, row in zip(labels, matrix):
-        out.row(label, *(format_float(float(x)) for x in row))
+        yield _row(label, *(format_float(float(x)) for x in row))
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args) -> Iterator[str]:
     sub = _load_substitution(args)
-    out = _Output(args.out)
-    out.row("field", "value")
-    out.row("letters", " ".join(sub.alphabet.letters))
-    out.row("letter_count", sub.n_letters)
-    out.row("max_image_len", sub.max_image_len)
-    out.row("min_image_len", sub.min_image_len)
-    out.row("deterministic", str(sub.is_deterministic).lower())
-    out.row("degenerate", str(sub.is_degenerate).lower())
+    yield _row("field", "value")
+    yield _row("letters", " ".join(sub.alphabet.letters))
+    yield _row("letter_count", sub.n_letters)
+    yield _row("max_image_len", sub.max_image_len)
+    yield _row("min_image_len", sub.min_image_len)
+    yield _row("deterministic", str(sub.is_deterministic).lower())
+    yield _row("degenerate", str(sub.is_degenerate).lower())
     primitive = is_primitive(sub)
-    out.row("primitive", str(primitive).lower())
-    out.row("irreducible", str(is_irreducible(sub)).lower())
+    yield _row("primitive", str(primitive).lower())
+    yield _row("irreducible", str(is_irreducible(sub)).lower())
     if primitive:
-        out.row("empty_subshift", str(is_empty_subshift(sub)).lower())
+        yield _row("empty_subshift", str(is_empty_subshift(sub)).lower())
     for rule in sub.rules:
         rhs = " | ".join(
             f"{sub.alphabet.format_word(w)}:{format_float(p)}"
             for w, p in zip(rule.images, rule.probabilities)
         )
-        out.row(f"rule_{sub.alphabet.letters[rule.source]}", rhs)
-    out.flush()
-    return 0
+        yield _row(f"rule_{sub.alphabet.letters[rule.source]}", rhs)
 
 
-def _cmd_language(args) -> int:
+def _cmd_language(args) -> Iterator[str]:
     sub = _load_substitution(args)
     table = legal_words(sub, args.lmax, budget=args.budget)
-    out = _Output(args.out)
-    out.row("length", "count")
+    yield _row("length", "count")
     for ell in range(1, args.lmax + 1):
-        out.row(ell, table.count(ell))
+        yield _row(ell, table.count(ell))
     if args.dump_words:
-        out.blank()
-        out.row("length", "word")
+        yield ""
+        yield _row("length", "word")
         for ell in range(1, args.lmax + 1):
             for word in table.words(ell):
-                out.row(ell, sub.alphabet.format_word(word))
-    out.flush()
-    return 0
+                yield _row(ell, sub.alphabet.format_word(word))
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args) -> Iterator[str]:
     sub = _load_substitution(args)
-    out = _Output(args.out)
     letters = list(sub.alphabet.letters)
-    _matrix_rows(out, letters, substitution_matrix(sub))
+    yield from _matrix_rows(letters, substitution_matrix(sub))
     pf = perron_data(substitution_matrix(sub), tol=args.tol)
-    out.blank()
-    out.row("lambda", format_float(pf.lam))
+    yield ""
+    yield _row("lambda", format_float(pf.lam))
     for letter, value in zip(letters, pf.right):
-        out.row("right", letter, format_float(float(value)))
+        yield _row("right", letter, format_float(float(value)))
     for letter, value in zip(letters, pf.left):
-        out.row("left", letter, format_float(float(value)))
-    out.row("residual", format_float(pf.residual))
-    out.flush()
-    return 0
+        yield _row("left", letter, format_float(float(value)))
+    yield _row("residual", format_float(pf.residual))
 
 
-def _cmd_induced(args) -> int:
+def _cmd_induced(args) -> Iterator[str]:
     sub = _load_substitution(args)
     ind = induced_substitution(sub, args.ell, budget=args.budget)
-    out = _Output(args.out)
-    out.raw(serialize(ind.sub))
-    out.blank()
-    _matrix_rows(out, list(ind.sub.alphabet.letters), induced_matrix(ind))
-    out.flush()
-    return 0
+    yield serialize(ind.sub).rstrip("\n")
+    yield ""
+    yield from _matrix_rows(list(ind.sub.alphabet.letters), induced_matrix(ind))
 
 
-def _cmd_freq(args) -> int:
+def _cmd_freq(args) -> Iterator[str]:
     sub = _load_substitution(args)
     freq = word_frequencies(sub, args.ell, tol=args.tol, budget=args.budget)
-    out = _Output(args.out)
-    out.row("word", "frequency")
+    yield _row("word", "frequency")
     for word, value in zip(freq.words, freq.values):
-        out.row(sub.alphabet.format_word(word), format_float(value))
-    out.flush()
-    return 0
+        yield _row(sub.alphabet.format_word(word), format_float(value))
 
 
-def _cmd_ergodicity(args) -> int:
+def _cmd_ergodicity(args) -> Iterator[str]:
     sub = _load_substitution(args)
     grid: list[dict[str, tuple[float, ...]]] = []
     skipped = 0
@@ -210,25 +177,22 @@ def _cmd_ergodicity(args) -> int:
             file=sys.stderr,
         )
     verdict = unique_ergodicity_scan(sub, args.lmax, grid, tol=args.tol, budget=args.budget)
-    out = _Output(args.out)
-    out.row("field", "value")
-    out.row("verdict", verdict.status)
-    out.row("ell_max", verdict.ell_max)
-    out.row("grid_points", len(verdict.grid))
-    out.row("tol", format_float(verdict.tol))
+    yield _row("field", "value")
+    yield _row("verdict", verdict.status)
+    yield _row("ell_max", verdict.ell_max)
+    yield _row("grid_points", len(verdict.grid))
+    yield _row("tol", format_float(verdict.tol))
     if verdict.witness is not None:
         w = verdict.witness
-        out.row("witness_ell", w.ell)
-        out.row("witness_word", sub.alphabet.format_word(w.word))
-        out.row("witness_low_point", _format_assignment(dict(verdict.grid[w.low_point])))
-        out.row("witness_low_value", format_float(w.low_value))
-        out.row("witness_high_point", _format_assignment(dict(verdict.grid[w.high_point])))
-        out.row("witness_high_value", format_float(w.high_value))
-    out.flush()
-    return 0
+        yield _row("witness_ell", w.ell)
+        yield _row("witness_word", sub.alphabet.format_word(w.word))
+        yield _row("witness_low_point", _format_assignment(dict(verdict.grid[w.low_point])))
+        yield _row("witness_low_value", format_float(w.low_value))
+        yield _row("witness_high_point", _format_assignment(dict(verdict.grid[w.high_point])))
+        yield _row("witness_high_value", format_float(w.high_value))
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> Iterator[str]:
     sub = _load_substitution(args)
     exact = exact_note = None
     if args.example is not None:
@@ -242,88 +206,73 @@ def _cmd_entropy(args) -> int:
         exact_known=exact,
         exact_note=exact_note,
     )
-    out = _Output(args.out)
-    out.row("ell", "upper")
+    yield _row("ell", "upper")
     for ell, value in bracket.upper_profile:
-        out.row(ell, format_float(value))
-    out.blank()
-    out.row("field", "value")
-    out.row("upper", format_float(bracket.upper))
-    out.row("lower", format_float(bracket.lower))
-    out.row("lower_status", bracket.lower_status)
+        yield _row(ell, format_float(value))
+    yield ""
+    yield _row("field", "value")
+    yield _row("upper", format_float(bracket.upper))
+    yield _row("lower", format_float(bracket.lower))
+    yield _row("lower_status", bracket.lower_status)
     if bracket.lower_witness is not None:
         w = bracket.lower_witness
-        out.row("lower_letter", sub.alphabet.letters[w.letter])
-        out.row("lower_power", w.power)
-        out.row("lower_pair_u", sub.alphabet.format_word(w.u))
-        out.row("lower_pair_v", sub.alphabet.format_word(w.v))
+        yield _row("lower_letter", sub.alphabet.letters[w.letter])
+        yield _row("lower_power", w.power)
+        yield _row("lower_pair_u", sub.alphabet.format_word(w.u))
+        yield _row("lower_pair_v", sub.alphabet.format_word(w.v))
     if bracket.exact_known is not None:
-        out.row("exact", format_float(bracket.exact_known))
-        out.row("exact_note", bracket.exact_note or "")
-    out.flush()
-    return 0
+        yield _row("exact", format_float(bracket.exact_known))
+        yield _row("exact_note", bracket.exact_note or "")
 
 
-def _cmd_periodic(args) -> int:
+def _cmd_periodic(args) -> Iterator[str]:
     sub = _load_substitution(args)
     census = periodic_census(sub, args.nmax, args.horizon, budget=args.budget)
-    out = _Output(args.out)
-    out.row("n", "count")
+    yield _row("n", "count")
     for n in range(1, args.nmax + 1):
-        out.row(n, census.counts[n])
-    out.flush()
-    return 0
+        yield _row(n, census.counts[n])
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args) -> Iterator[str]:
     sub = _load_substitution(args)
     census = periodic_census(sub, args.nmax, args.horizon, budget=args.budget)
     series = zeta_series(census, args.nmax)
-    out = _Output(args.out)
-    out.row("degree", "coefficient")
+    yield _row("degree", "coefficient")
     for degree, coeff in enumerate(series.coefficients):
-        out.row(degree, format_float(coeff))
-    out.flush()
-    return 0
+        yield _row(degree, format_float(coeff))
 
 
-def _cmd_mixing(args) -> int:
+def _cmd_mixing(args) -> Iterator[str]:
     sub = _load_substitution(args)
     u = sub.alphabet.word(args.u)
     v = sub.alphabet.word(args.v)
     gaps = mixing_gaps(sub, u, v, args.nmax, budget=args.budget)
-    out = _Output(args.out)
-    out.row("gap")
+    yield _row("gap")
     for gap in gaps:
-        out.row(gap)
-    out.flush()
-    return 0
+        yield _row(gap)
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> Iterator[str]:
     sub = _load_substitution(args)
     report = frequency_report(
         sub, args.ell, args.depth, args.seed, start_letter=args.letter, budget=args.budget
     )
-    out = _Output(args.out)
-    out.row("word", "empirical", "predicted", "abs_dev")
+    yield _row("word", "empirical", "predicted", "abs_dev")
     for word, emp, pred, dev in report.rows():
-        out.row(
+        yield _row(
             sub.alphabet.format_word(word),
             format_float(emp),
             format_float(pred),
             format_float(dev),
         )
-    out.blank()
-    out.row("field", "value")
-    out.row("start_letter", sub.alphabet.letters[report.start_letter])
-    out.row("depth", report.depth)
-    out.row("ell", report.ell)
-    out.row("seed", report.seed)
-    out.row("sample_length", report.sample_length)
-    out.row("max_abs_deviation", format_float(report.max_abs_deviation))
-    out.flush()
-    return 0
+    yield ""
+    yield _row("field", "value")
+    yield _row("start_letter", sub.alphabet.letters[report.start_letter])
+    yield _row("depth", report.depth)
+    yield _row("ell", report.ell)
+    yield _row("seed", report.seed)
+    yield _row("sample_length", report.sample_length)
+    yield _row("max_abs_deviation", format_float(report.max_abs_deviation))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Not set_defaults: parents=[common] shares one --tol action, so it would change every default.
 _TOL_DEFAULTS = {
     _cmd_matrix: 1e-12,
     _cmd_freq: 1e-12,
@@ -425,7 +375,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.tol is None:
         args.tol = _TOL_DEFAULTS.get(args.func, 1e-12)
     try:
-        return args.func(args)
+        payload = "".join(line + "\n" for line in args.func(args))
+        if args.out is None:
+            sys.stdout.write(payload)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(payload)
+        return 0
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -61,7 +61,11 @@ class NoConvergenceError(RandsubError):
 
 
 class DegenerateRuleError(RandsubError):
-    """A rule whose probabilities are all zero was hit while sampling."""
+    """A rule with no positive-probability image; kept as public API.
+
+    Nothing raises it: such a rule is refused with ``BadProbabilityError``
+    when the substitution is built.
+    """
 
 
 class WordTooShortError(RandsubError):

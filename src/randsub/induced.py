@@ -201,13 +201,10 @@ def unique_ergodicity_scan(
     grid: list[dict[str, tuple[float, ...]]],
     tol: float = DEFAULT_SCAN_TOL,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> ErgodicityVerdict:
     """Compare frequency vectors across a grid of probability assignments.
 
-    ``threads`` is accepted for compatibility and has no effect: the work
-    holds the interpreter lock, so a pool measured no faster.  The verdict
-    carries the most probability-sensitive entry as witness:
+    The verdict carries the most probability-sensitive entry as witness:
     among all (ell, word) whose value varies by more than ``tol`` across
     the grid, the one with the largest high/low ratio, ties broken in
     canonical (ell, word) order.

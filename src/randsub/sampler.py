@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_BUDGET, RandomSubstitution, Word
-from .errors import BudgetExceededError, DegenerateRuleError, WordTooShortError
+from .errors import BudgetExceededError, WordTooShortError
 from .induced import FrequencyVector, word_frequencies
 from .language import code_base, code_dtype, decode_codes, encode_rows
 
@@ -63,11 +63,6 @@ def _expand_levels(
     images: list[Word] = []
     first = np.empty(sub.n_letters, dtype=np.int32)
     for a, rule in enumerate(sub.rules):
-        if sum(rule.probabilities) <= 0.0:
-            raise DegenerateRuleError(
-                f"rule for letter {sub.alphabet.letters[rule.source]} has no "
-                "positive-probability image"
-            )
         first[a] = len(images)
         images.extend(rule.images)
         row = np.cumsum(np.asarray(rule.probabilities, dtype=float))

@@ -218,18 +218,49 @@ class TestDeterminism:
         )
         assert first == second
 
-    def test_out_file_matches_stdout(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("info", "--example", "golden"),
+            ("language", "--example", "golden", "--lmax", "4"),
+            ("matrix", "--example", "period-doubling"),
+            ("induced", "--example", "random-fibonacci", "--ell", "2"),
+            ("freq", "--example", "random-fibonacci", "--ell", "2"),
+            ("ergodicity", "--example", "random-fibonacci", "--lmax", "2"),
+            ("entropy", "--example", "period-doubling", "--lmax", "6", "--kmax", "1"),
+            ("periodic", "--example", "sofic-ab", "--nmax", "4", "--horizon", "12"),
+            ("zeta", "--example", "sofic-ab", "--nmax", "4", "--horizon", "12"),
+            ("mixing", "--example", "period-doubling", "--u", "11", "--v", "11",
+             "--nmax", "6"),
+            ("sample", "--example", "period-doubling", "--depth", "6", "--ell", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_file_matches_stdout(self, capsys, tmp_path, argv):
+        if argv[0] == "ergodicity":
+            grid = tmp_path / "grid.txt"
+            grid.write_text("a:0.5,0.5\na:0.9,0.1\n")
+            argv = (*argv, "--grid", str(grid))
         target = tmp_path / "report.csv"
-        code = main(
-            ["language", "--example", "golden", "--lmax", "4", "--out", str(target)]
-        )
+        code = main([*argv, "--out", str(target)])
         assert code == 0
         captured = capsys.readouterr()
         assert captured.out == ""
-        _c, stdout_version, _ = run_cli(
-            capsys, "language", "--example", "golden", "--lmax", "4"
+        _c, stdout_version, _ = run_cli(capsys, *argv)
+        assert stdout_version
+        with open(target, encoding="utf-8", newline="") as handle:
+            assert handle.read() == stdout_version
+
+    def test_failed_run_writes_no_out_file(self, capsys, tmp_path):
+        target = tmp_path / "report.csv"
+        code, out, err = run_cli(
+            capsys, "language", "--example", "sofic-ab", "--lmax", "20",
+            "--budget", "50", "--out", str(target),
         )
-        assert target.read_text() == stdout_version
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not target.exists()
 
     def test_threads_flag_does_not_change_output(self, capsys, tmp_path):
         grid = tmp_path / "grid.txt"

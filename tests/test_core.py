@@ -248,6 +248,8 @@ class TestWithProbabilities:
             rs.with_probabilities(sub, {"z": [1.0]})
         with pytest.raises(rs.BadProbabilityError):
             rs.with_probabilities(sub, {"a": [0.9, 0.2]})
+        with pytest.raises(rs.BadProbabilityError):
+            rs.with_probabilities(sub, {"a": [0.0, 0.0]})
 
     def test_degenerate_flag(self):
         sub = rs.with_probabilities(rs.parse_spec(FIB_TEXT), {"a": [1.0, 0.0]})

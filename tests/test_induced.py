@@ -178,13 +178,6 @@ class TestErgodicityScan:
         assert w.high_value == pytest.approx(0.0431400059, abs=1e-8)
         assert w.low_value == pytest.approx(0.0139042182, abs=1e-8)
 
-    def test_threaded_scan_matches_sequential(self):
-        fib = rs.get_example("random-fibonacci")
-        grid = [{"a": (0.5, 0.5)}, {"a": (0.9, 0.1)}]
-        a = rs.unique_ergodicity_scan(fib, 2, grid, threads=1)
-        b = rs.unique_ergodicity_scan(fib, 2, grid, threads=4)
-        assert a == b
-
     def test_budget_caps_the_language_closure(self):
         fib = rs.get_example("random-fibonacci")
         grid = [{"a": (0.5, 0.5)}, {"a": (0.9, 0.1)}]
