@@ -385,17 +385,18 @@ def _within_power(
 
 
 def _realisation_map(
-    sub: RandomSubstitution, word: Word, budget: int
+    sub: RandomSubstitution, word: Word, budget: int, keep: int | None = None
 ) -> dict[Word, float]:
     """Distinct realisations of the image of ``word`` with aggregated
-    probabilities, keyed in lexicographic order of per-letter choices."""
+    probabilities, keyed in lexicographic order of per-letter choices.
+    ``keep`` cuts each partial to its first ``keep`` letters as it grows."""
     partial: dict[Word, float] = {"": 1.0}
     for position, c in enumerate(word, start=1):
         rule = sub.rules[ord(c)]
         grown: dict[Word, float] = {}
         for prefix, acc in partial.items():
             for image, p in zip(rule.images, rule.probabilities):
-                joined = prefix + image
+                joined = (prefix + image)[:keep]
                 grown[joined] = grown.get(joined, 0.0) + acc * p
         if len(grown) > budget:
             raise _image_budget_error(word, position, len(grown), budget)

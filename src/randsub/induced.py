@@ -4,12 +4,13 @@ The induced substitution of window length ell acts on the legal ell-words:
 a window w maps, per realisation v of the image of w, to the sequence of
 the first |image of w_0| windows of length ell read along v.  Because
 every image is non-empty, v is always long enough for these windows, and
-every window produced is again a legal ell-word.  The right
-Perron-Frobenius eigenvector of the induced matrix, normalised to sum 1,
-gives the ell-word frequency vector; scanning it over several probability
-assignments and window lengths is a finite test for unique ergodicity:
-any variation disproves it, while agreement at finite depth proves
-nothing and is reported as such.
+every window produced is again a legal ell-word.  Only the first
+|image of w_0| + ell - 1 letters of v are read, so tails are cut to
+ell - 1 letters.  The right Perron-Frobenius eigenvector of the induced
+matrix, normalised to sum 1, gives the ell-word frequency vector;
+scanning it over several probability assignments and window lengths is
+a finite test for unique ergodicity: any variation disproves it, while
+agreement at finite depth proves nothing and is reported as such.
 """
 
 from __future__ import annotations
@@ -78,16 +79,12 @@ def induced_substitution(
     rules = []
     for i, w in enumerate(words):
         first_rule = sub.rules[ord(w[0])]
-        tail_map = (
-            _realisation_map(sub, w[1:], budget) if len(w) > 1 else {"": 1.0}
-        )
+        tail_map = _realisation_map(sub, w[1:], budget, keep=ell - 1)
         merged: dict[Word, float] = {}
         for first_image, p0 in zip(first_rule.images, first_rule.probabilities):
             span = len(first_image)
             for tail, pt in tail_map.items():
-                v = first_image + tail
-                # len(v) >= span + ell - 1 always: the tail letters each
-                # contribute at least one symbol, so every window exists.
+                v = first_image + tail  # the cut tail is ell - 1 long
                 image_seq = []
                 for k in range(span):
                     window = v[k : k + ell]

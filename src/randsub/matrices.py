@@ -165,24 +165,15 @@ def _power_iterate(m: np.ndarray, tol: float, cap: int) -> tuple[float, np.ndarr
     raise NoConvergenceError(f"power iteration did not converge in {cap} steps")
 
 
-def perron_data(
-    m: np.ndarray,
-    tol: float = DEFAULT_PF_TOL,
-    require_primitive: bool = True,
-) -> PerronData:
-    """Dominant eigenvalue and eigenvectors by power iteration.
-
-    ``require_primitive=False`` skips the support check; the caller must
-    then guarantee a unique dominant eigenvalue some other way (used for
-    degenerate probability choices whose set-valued substitution is still
-    primitive).
-    """
+def perron_data(m: np.ndarray, tol: float = DEFAULT_PF_TOL) -> PerronData:
+    """Dominant eigenvalue and eigenvectors of a primitive matrix by power
+    iteration."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if (m < 0).any():
         raise ValueError("matrix must be non-negative")
-    if require_primitive and not is_primitive_matrix(m):
+    if not is_primitive_matrix(m):
         raise NotPrimitiveError("matrix is not primitive")
     lam, right, it_r = _power_iterate(m, tol, PF_ITERATION_CAP)
     _, left_raw, it_l = _power_iterate(m.T, tol, PF_ITERATION_CAP)

@@ -76,6 +76,19 @@ class TestInducedConstruction:
         table = rs.legal_words(ind.sub, 2)
         assert ab + ab in table
 
+    def test_budget_caps_the_tail_expansion(self):
+        # The language table is given, so only the tails' realisation maps
+        # can outgrow the budget: fib's tails of length 7 reach 4 distinct
+        # partials after 2 letters.
+        fib = rs.get_example("random-fibonacci")
+        table = rs.legal_words(fib, 8)
+        with pytest.raises(rs.BudgetExceededError) as info:
+            rs.induced_substitution(fib, 8, table=table, budget=3)
+        assert str(info.value) == (
+            "image of a word of length 7: 4 distinct partial realisations "
+            "after 2 of its letters (budget 3)"
+        )
+
 
 class TestInducedMatrix:
     def test_fibonacci_matrix_formula(self):
@@ -111,8 +124,7 @@ class TestInducedMatrix:
             base = rs.perron_data(rs.substitution_matrix(sub)).lam
             for ell in (2, 3):
                 lam = rs.perron_data(
-                    rs.induced_matrix(rs.induced_substitution(sub, ell)),
-                    require_primitive=False,
+                    rs.induced_matrix(rs.induced_substitution(sub, ell))
                 ).lam
                 assert lam == pytest.approx(base, abs=1e-9)
 
@@ -162,6 +174,13 @@ class TestWordFrequencies:
         sub = rs.parse_spec("alphabet: a b\nrule a -> a:1\nrule b -> b:1\n")
         with pytest.raises(rs.NotPrimitiveError):
             rs.word_frequencies(sub, 1)
+
+    def test_full_shift_is_uniform_at_window_eight(self):
+        # Each window's tail has 4^7 full realisations but only 2^7 cuts
+        # to 7 letters, so this build stays small.
+        freq = rs.word_frequencies(rs.get_example("full-shift-2"), 8)
+        assert len(freq.words) == 256
+        assert set(freq.values) == {2.0**-8}
 
 
 class TestErgodicityScan:

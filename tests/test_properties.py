@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import randsub as rs
-from randsub.core import power_realisation_words
+from randsub.core import _realisation_map, power_realisation_words
 from randsub.sampler import _expand_levels, stream_u01
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -185,8 +185,9 @@ def assert_matches_dense(sub):
     assert rs.is_irreducible(sub) == dense_is_irreducible_matrix(support), rs.serialize(sub)
 
 
-# The full shift's induced substitution at ell has 2 * 4^ell images, so its
-# build takes 0.4 s at ell 6 and about 30 s at ell 8.
+# The full shift's window tails have 4^(ell - 1) full realisations each, so
+# the full-tail build (full_tail_induced below) takes 0.4 s at ell 6 and
+# 10-25 s at ell 8.
 REGISTRY_INDUCED_ELL = {"full-shift-2": 6}
 
 
@@ -396,6 +397,74 @@ class TestLanguageOracle:
         for budget in (10**8, 50, 100):
             assert_closures_agree(tribonacci, 40, budget)
         assert rs.legal_words(tribonacci, 40).count(40) == 81
+
+
+def full_tail_induced(sub, ell, table=None):
+    """Words and rules of the induced substitution built from every full
+    realisation of each window's tail, not from tails cut to ell - 1
+    letters.  Cutting early changes no key and no key order, because
+    (x + y)[:k] == (x[:k] + y)[:k]; it only changes how the probabilities
+    are summed."""
+    if ell == 1:
+        words = tuple(sorted({c for rule in sub.rules for image in rule.images for c in image}))
+    else:
+        words = rs.legal_words(sub, ell, table=table).words(ell)
+    position = {w: i for i, w in enumerate(words)}
+    rules = []
+    for w in words:
+        first_rule = sub.rules[ord(w[0])]
+        tail_map = _realisation_map(sub, w[1:], 10**8) if len(w) > 1 else {"": 1.0}
+        merged = {}
+        for first_image, p0 in zip(first_rule.images, first_rule.probabilities):
+            for tail, pt in tail_map.items():
+                v = first_image + tail
+                u = "".join(chr(position[v[k : k + ell]]) for k in range(len(first_image)))
+                merged[u] = merged.get(u, 0.0) + p0 * pt
+        rules.append((tuple(merged), tuple(merged.values())))
+    return words, rules
+
+
+def non_dyadic(sub, rng):
+    """``sub`` with seeded probabilities whose sums round differently when
+    they are added in another order."""
+    assignment = {}
+    for letter, rule in zip(sub.alphabet.letters, sub.rules):
+        weights = [rng.uniform(0.1, 1.0) for _ in rule.images]
+        assignment[letter] = [x / sum(weights) for x in weights]
+    return rs.with_probabilities(sub, assignment)
+
+
+def assert_induced_matches_full_tails(sub, ell, table=None):
+    ind = rs.induced_substitution(sub, ell, table=table)
+    words, rules = full_tail_induced(sub, ell, table=table)
+    assert ind.words == words
+    assert len(ind.sub.rules) == len(rules)
+    for rule, (images, probabilities) in zip(ind.sub.rules, rules):
+        assert rule.images == images, rs.serialize(sub)
+        np.testing.assert_allclose(rule.probabilities, probabilities, rtol=1e-14, atol=0)
+
+
+class TestInducedTailCut:
+    def test_pool_matches_full_tails(self, pool):
+        rng = random.Random(0xD1FF)
+        for sub in pool:
+            if rs.is_empty_subshift(sub):
+                continue
+            sub = non_dyadic(sub, rng)
+            for ell in range(1, 5):
+                assert_induced_matches_full_tails(sub, ell)
+
+    def test_registry_matches_full_tails(self):
+        rng = random.Random(0xD1FE)
+        for name in rs.example_names():
+            sub = rs.get_example(name)
+            if rs.is_empty_subshift(sub):
+                continue
+            ell_max = REGISTRY_INDUCED_ELL.get(name, 8)
+            table = rs.legal_words(sub, ell_max)
+            for probed in (sub, non_dyadic(sub, rng)):
+                for ell in range(1, ell_max + 1):
+                    assert_induced_matches_full_tails(probed, ell, table=table)
 
 
 class TestInducedPrimitivity:
