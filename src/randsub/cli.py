@@ -128,8 +128,9 @@ def _cmd_language(args) -> Iterator[str]:
 def _cmd_matrix(args) -> Iterator[str]:
     sub = _load_substitution(args)
     letters = list(sub.alphabet.letters)
-    yield from _matrix_rows(letters, substitution_matrix(sub))
-    pf = perron_data(substitution_matrix(sub), tol=args.tol)
+    matrix = substitution_matrix(sub)
+    yield from _matrix_rows(letters, matrix)
+    pf = perron_data(matrix, tol=args.tol)
     yield ""
     yield _row("lambda", format_float(pf.lam))
     for letter, value in zip(letters, pf.right):

@@ -29,7 +29,7 @@ from .core import (
     letter_counts,
     with_probabilities,
 )
-from .errors import NotPrimitiveError
+from .errors import EmptySubshiftError, NotPrimitiveError
 from .language import LanguageTable, legal_words
 from .matrices import DEFAULT_PF_TOL, _perron_right, is_primitive, substitution_matrix
 
@@ -46,7 +46,6 @@ class InducedSubstitution:
     """
 
     ell: int
-    base: RandomSubstitution
     words: tuple[Word, ...]
     sub: RandomSubstitution
 
@@ -57,7 +56,11 @@ def induced_substitution(
     table: LanguageTable | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> InducedSubstitution:
-    """Build the induced substitution on legal ell-words."""
+    """Build the induced substitution on legal ell-words.
+
+    Windows sharing a tail ``w[1:]`` share its cut tail map, which is
+    expanded once per build.
+    """
     if ell < 1:
         raise ValueError("ell must be at least 1")
     if ell == 1:
@@ -68,37 +71,31 @@ def induced_substitution(
     else:
         table = legal_words(sub, ell, table=table, budget=budget)
         words = table.words(ell)
-    if sub.alphabet.needs_dots:
-        # dotted names would collide with the image syntax, so join with +
-        tokens = ["+".join(sub.alphabet.decode(w)) for w in words]
-    else:
-        tokens = [sub.alphabet.format_word(w) for w in words]
-    ind_alphabet = Alphabet(tokens)
-    position = {w: i for i, w in enumerate(words)}
+    # dotted names would collide with the image syntax, so join with +
+    join = "+".join if sub.alphabet.needs_dots else "".join
+    ind_alphabet = Alphabet([join(sub.alphabet.decode(w)) for w in words])
+    letter = {w: chr(i) for i, w in enumerate(words)}
 
+    tail_maps: dict[Word, dict[Word, float]] = {}
     rules = []
     for i, w in enumerate(words):
         first_rule = sub.rules[ord(w[0])]
-        tail_map = _realisation_map(sub, w[1:], budget, keep=ell - 1)
+        tail_map = tail_maps.get(w[1:])
+        if tail_map is None:
+            tail_map = tail_maps[w[1:]] = _realisation_map(sub, w[1:], budget, keep=ell - 1)
         merged: dict[Word, float] = {}
         for first_image, p0 in zip(first_rule.images, first_rule.probabilities):
-            span = len(first_image)
             for tail, pt in tail_map.items():
                 v = first_image + tail  # the cut tail is ell - 1 long
-                image_seq = []
-                for k in range(span):
-                    window = v[k : k + ell]
-                    if window not in position:
-                        raise AssertionError(
-                            "window of a legal image fell outside the language"
-                        )
-                    image_seq.append(chr(position[window]))
-                u = "".join(image_seq)
+                try:
+                    u = "".join([letter[v[k : k + ell]] for k in range(len(first_image))])
+                except KeyError:
+                    raise AssertionError(
+                        "window of a legal image fell outside the language"
+                    ) from None
                 merged[u] = merged.get(u, 0.0) + p0 * pt
         rules.append(Rule(i, tuple(merged), tuple(merged.values())))
-    return InducedSubstitution(
-        ell=ell, base=sub, words=words, sub=RandomSubstitution(ind_alphabet, rules)
-    )
+    return InducedSubstitution(ell=ell, words=words, sub=RandomSubstitution(ind_alphabet, rules))
 
 
 def induced_matrix(ind: InducedSubstitution) -> np.ndarray:
@@ -115,13 +112,11 @@ def induced_is_primitive(ind: InducedSubstitution) -> bool:
 class FrequencyVector:
     """L1-normalised dominant right eigenvector of the induced matrix,
     keyed by legal ell-word; entry v is the frequency (cylinder measure)
-    of v.  ``probabilities`` records the probability vectors it was
-    computed from."""
+    of v."""
 
     ell: int
     words: tuple[Word, ...]
     values: tuple[float, ...]
-    probabilities: tuple[tuple[float, ...], ...]
 
     def as_dict(self) -> dict[Word, float]:
         return dict(zip(self.words, self.values))
@@ -142,18 +137,18 @@ def word_frequencies(
     Requires the induced substitution to be primitive as a set-valued
     substitution; zero-probability images are allowed (they may make the
     weighted matrix itself non-primitive, in which case entries of the
-    result can be zero).
+    result can be zero).  An empty subshift carries no invariant measure,
+    so it is refused at every ell.
     """
     ind = induced_substitution(sub, ell, table=table, budget=budget)
     if not induced_is_primitive(ind):
         raise NotPrimitiveError(f"induced substitution at ell={ell} is not primitive")
+    if sub.max_image_len == 1:
+        raise EmptySubshiftError(
+            "empty subshift: all images have length 1, no legal words beyond letters"
+        )
     right = _perron_right(induced_matrix(ind), sub.is_degenerate, tol=tol)
-    return FrequencyVector(
-        ell=ell,
-        words=ind.words,
-        values=tuple(float(x) for x in right),
-        probabilities=tuple(rule.probabilities for rule in sub.rules),
-    )
+    return FrequencyVector(ell=ell, words=ind.words, values=tuple(float(x) for x in right))
 
 
 @dataclass(frozen=True)
@@ -219,28 +214,28 @@ def unique_ergodicity_scan(
 
     table = legal_words(sub, ell_max, budget=budget)
     witness: ErgodicityWitness | None = None
-    witness_ratio = 0.0
+    witness_ratio = -np.inf
     for ell in range(1, ell_max + 1):
         vectors = [word_frequencies(p, ell, table=table, budget=budget) for p in probed]
-        words = vectors[0].words
-        for w_index, word in enumerate(words):
-            values = [vec.values[w_index] for vec in vectors]
-            low = min(range(len(values)), key=values.__getitem__)
-            high = max(range(len(values)), key=values.__getitem__)
-            if values[high] - values[low] <= tol:
-                continue
-            floor = max(values[low], 1e-300)
-            ratio = values[high] / floor
-            if witness is None or ratio > witness_ratio:
-                witness_ratio = ratio
-                witness = ErgodicityWitness(
-                    ell=ell,
-                    word=word,
-                    low_point=low,
-                    high_point=high,
-                    low_value=values[low],
-                    high_value=values[high],
-                )
+        values = np.array([vec.values for vec in vectors])  # points x words
+        low, high = values.argmin(axis=0), values.argmax(axis=0)
+        low_values, high_values = values.min(axis=0), values.max(axis=0)
+        ratios = np.where(
+            high_values - low_values > tol,
+            high_values / np.maximum(low_values, 1e-300),
+            -np.inf,
+        )
+        best = int(ratios.argmax())  # first word of the largest ratio
+        if ratios[best] > witness_ratio:
+            witness_ratio = ratios[best]
+            witness = ErgodicityWitness(
+                ell=ell,
+                word=vectors[0].words[best],
+                low_point=int(low[best]),
+                high_point=int(high[best]),
+                low_value=float(low_values[best]),
+                high_value=float(high_values[best]),
+            )
     return ErgodicityVerdict(
         not_uniquely_ergodic=witness is not None,
         ell_max=ell_max,

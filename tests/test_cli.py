@@ -26,6 +26,23 @@ class TestExitCodes:
         assert code == 1
         assert "empty subshift" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("freq", "--example", "empty-demo", "--ell", "1"),
+            ("sample", "--example", "empty-demo", "--depth", "5", "--ell", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_frequencies_for_an_empty_subshift(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: empty subshift: all images have length 1, "
+            "no legal words beyond letters\n"
+        )
+
     def test_parse_error_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.sub"
         bad.write_text("alphabet: a\nrule a -> a:0.4\n")

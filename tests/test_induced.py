@@ -175,6 +175,13 @@ class TestWordFrequencies:
         with pytest.raises(rs.NotPrimitiveError):
             rs.word_frequencies(sub, 1)
 
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_empty_subshift_rejected(self, ell):
+        # An empty subshift has no invariant measure, so there are no
+        # frequencies to report, not even of letters.
+        with pytest.raises(rs.EmptySubshiftError, match="all images have length 1"):
+            rs.word_frequencies(rs.get_example("empty-demo"), ell)
+
     def test_full_shift_is_uniform_at_window_eight(self):
         # Each window's tail has 4^7 full realisations but only 2^7 cuts
         # to 7 letters, so this build stays small.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import randsub as rs
+import randsub.induced
 from randsub.core import _realisation_map, power_realisation_words
 from randsub.sampler import _expand_levels, stream_u01
 
@@ -424,14 +425,19 @@ def full_tail_induced(sub, ell, table=None):
     return words, rules
 
 
-def non_dyadic(sub, rng):
-    """``sub`` with seeded probabilities whose sums round differently when
-    they are added in another order."""
+def seeded_point(sub, rng):
+    """A seeded non-degenerate probability assignment for every letter."""
     assignment = {}
     for letter, rule in zip(sub.alphabet.letters, sub.rules):
         weights = [rng.uniform(0.1, 1.0) for _ in rule.images]
         assignment[letter] = [x / sum(weights) for x in weights]
-    return rs.with_probabilities(sub, assignment)
+    return assignment
+
+
+def non_dyadic(sub, rng):
+    """``sub`` with seeded probabilities whose sums round differently when
+    they are added in another order."""
+    return rs.with_probabilities(sub, seeded_point(sub, rng))
 
 
 def assert_induced_matches_full_tails(sub, ell, table=None):
@@ -465,6 +471,77 @@ class TestInducedTailCut:
             for probed in (sub, non_dyadic(sub, rng)):
                 for ell in range(1, ell_max + 1):
                     assert_induced_matches_full_tails(probed, ell, table=table)
+
+
+class TestInducedTailMaps:
+    @pytest.mark.parametrize(
+        "name, tails", [("random-fibonacci", 510), ("period-doubling", 695)]
+    )
+    def test_one_map_per_distinct_tail(self, monkeypatch, name, tails):
+        # These languages have 851 and 1,198 windows of length 12.
+        sub = rs.get_example(name)
+        table = rs.legal_words(sub, 12)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return _realisation_map(*args, **kwargs)
+
+        monkeypatch.setattr(randsub.induced, "_realisation_map", counted)
+        ind = rs.induced_substitution(sub, 12, table=table)
+        assert len(calls) == tails
+        assert set(calls) == {w[1:] for w in ind.words}
+
+
+def loop_witness(sub, ell_max, grid, tol=1e-6):
+    """Reference: the scan's witness picked word by word, keeping the
+    first (ell, word) of the largest high/low ratio among the entries
+    that vary by more than ``tol``, and the first grid point of each
+    extreme value."""
+    probed = [rs.with_probabilities(sub, point) for point in grid]
+    table = rs.legal_words(sub, ell_max)
+    witness = None
+    witness_ratio = 0.0
+    for ell in range(1, ell_max + 1):
+        vectors = [rs.word_frequencies(p, ell, table=table) for p in probed]
+        for w_index, word in enumerate(vectors[0].words):
+            values = [vec.values[w_index] for vec in vectors]
+            low = min(range(len(values)), key=values.__getitem__)
+            high = max(range(len(values)), key=values.__getitem__)
+            if values[high] - values[low] <= tol:
+                continue
+            ratio = values[high] / max(values[low], 1e-300)
+            if witness is None or ratio > witness_ratio:
+                witness_ratio = ratio
+                witness = rs.ErgodicityWitness(
+                    ell=ell,
+                    word=word,
+                    low_point=low,
+                    high_point=high,
+                    low_value=values[low],
+                    high_value=values[high],
+                )
+    return witness
+
+
+class TestErgodicityWitness:
+    def test_pool_matches_loop_witness(self, pool):
+        rng = random.Random(0xE460)
+        scanned = 0
+        for sub in pool:
+            if rs.is_empty_subshift(sub) or max(r.arity for r in sub.rules) < 2:
+                continue
+            points = [seeded_point(sub, rng) for _ in range(3)]
+            # the repeated point makes exact ties, pinning first-index picks
+            grid = [*points, points[1]]
+            expected = loop_witness(sub, 3, grid)
+            verdict = rs.unique_ergodicity_scan(sub, 3, grid)
+            assert verdict.status == (
+                "consistent-up-to" if expected is None else "not-uniquely-ergodic"
+            )
+            assert verdict.witness == expected, rs.serialize(sub)
+            scanned += 1
+        assert scanned > 0
 
 
 class TestInducedPrimitivity:
