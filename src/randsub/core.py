@@ -385,17 +385,19 @@ def _within_power(
 
 
 def _realisation_map(
-    sub: RandomSubstitution, word: Word, budget: int, keep: int | None = None
+    sub: RandomSubstitution, word: Word, budget: int, keep: int | None = None, weights=None
 ) -> dict[Word, float]:
     """Distinct realisations of the image of ``word`` with aggregated
     probabilities, keyed in lexicographic order of per-letter choices.
-    ``keep`` cuts each partial to its first ``keep`` letters as it grows."""
+    ``keep`` cuts each partial to its first ``keep`` letters as it grows.
+    ``weights``, one sequence per letter, replaces the rules' probabilities."""
     partial: dict[Word, float] = {"": 1.0}
     for position, c in enumerate(word, start=1):
         rule = sub.rules[ord(c)]
+        probabilities = rule.probabilities if weights is None else weights[ord(c)]
         grown: dict[Word, float] = {}
         for prefix, acc in partial.items():
-            for image, p in zip(rule.images, rule.probabilities):
+            for image, p in zip(rule.images, probabilities):
                 joined = (prefix + image)[:keep]
                 grown[joined] = grown.get(joined, 0.0) + acc * p
         if len(grown) > budget:

@@ -16,6 +16,8 @@ agreement at finite depth proves nothing and is reported as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
+from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +33,8 @@ from .core import (
 )
 from .errors import EmptySubshiftError, NotPrimitiveError
 from .language import LanguageTable, legal_words
-from .matrices import DEFAULT_PF_TOL, _perron_right, is_primitive, substitution_matrix
+from .matrices import DEFAULT_PF_TOL, _perron_right, _strong_period, is_primitive
+from .matrices import substitution_matrix
 
 DEFAULT_SCAN_TOL = 1e-6
 
@@ -50,41 +53,37 @@ class InducedSubstitution:
     sub: RandomSubstitution
 
 
-def induced_substitution(
-    sub: RandomSubstitution,
-    ell: int,
-    table: LanguageTable | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> InducedSubstitution:
-    """Build the induced substitution on legal ell-words.
-
-    Windows sharing a tail ``w[1:]`` share its cut tail map, which is
-    expanded once per build.
-    """
+def _windows(
+    sub: RandomSubstitution, ell: int, table: LanguageTable | None, budget: int
+) -> tuple[Word, ...]:
+    """The legal ell-words in canonical order: the induced alphabet."""
     if ell < 1:
         raise ValueError("ell must be at least 1")
     if ell == 1:
         # Legal letters are exactly those occurring in some image; no
         # language closure (or primitivity) is needed for ell = 1.
-        occurring = {c for rule in sub.rules for image in rule.images for c in image}
-        words = tuple(sorted(occurring))
-    else:
-        table = legal_words(sub, ell, table=table, budget=budget)
-        words = table.words(ell)
-    # dotted names would collide with the image syntax, so join with +
-    join = "+".join if sub.alphabet.needs_dots else "".join
-    ind_alphabet = Alphabet([join(sub.alphabet.decode(w)) for w in words])
-    letter = {w: chr(i) for i, w in enumerate(words)}
+        return tuple(sorted({c for rule in sub.rules for image in rule.images for c in image}))
+    return legal_words(sub, ell, table=table, budget=budget).words(ell)
 
-    tail_maps: dict[Word, dict[Word, float]] = {}
-    rules = []
-    for i, w in enumerate(words):
-        first_rule = sub.rules[ord(w[0])]
+
+def _induced_images(
+    sub: RandomSubstitution, ell: int, words: tuple[Word, ...], weights: list, budget: int
+) -> Iterator[dict]:
+    """Yield each window's merged ``{induced image: weight}``, window by window.
+
+    ``weights`` holds one probability sequence per letter: floats weigh one
+    point, and length-P numpy arrays weigh P points with the same keys, key
+    order, products and sums as P float passes.  Windows sharing a tail
+    ``w[1:]`` share its cut tail map, which is expanded once per call.
+    """
+    letter = {w: chr(i) for i, w in enumerate(words)}
+    tail_maps: dict[Word, dict] = {}
+    for w in words:
         tail_map = tail_maps.get(w[1:])
         if tail_map is None:
-            tail_map = tail_maps[w[1:]] = _realisation_map(sub, w[1:], budget, keep=ell - 1)
-        merged: dict[Word, float] = {}
-        for first_image, p0 in zip(first_rule.images, first_rule.probabilities):
+            tail_map = tail_maps[w[1:]] = _realisation_map(sub, w[1:], budget, ell - 1, weights)
+        merged: dict = {}
+        for first_image, p0 in zip(sub.rules[ord(w[0])].images, weights[ord(w[0])]):
             for tail, pt in tail_map.items():
                 v = first_image + tail  # the cut tail is ell - 1 long
                 try:
@@ -94,7 +93,22 @@ def induced_substitution(
                         "window of a legal image fell outside the language"
                     ) from None
                 merged[u] = merged.get(u, 0.0) + p0 * pt
-        rules.append(Rule(i, tuple(merged), tuple(merged.values())))
+        yield merged
+
+
+def induced_substitution(
+    sub: RandomSubstitution,
+    ell: int,
+    table: LanguageTable | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> InducedSubstitution:
+    """Build the induced substitution on legal ell-words."""
+    words = _windows(sub, ell, table, budget)
+    # dotted names would collide with the image syntax, so join with +
+    join = "+".join if sub.alphabet.needs_dots else "".join
+    ind_alphabet = Alphabet([join(sub.alphabet.decode(w)) for w in words])
+    images = _induced_images(sub, ell, words, [r.probabilities for r in sub.rules], budget)
+    rules = [Rule(i, tuple(merged), tuple(merged.values())) for i, merged in enumerate(images)]
     return InducedSubstitution(ell=ell, words=words, sub=RandomSubstitution(ind_alphabet, rules))
 
 
@@ -125,6 +139,30 @@ class FrequencyVector:
         return self.values[self.words.index(word)]
 
 
+def _perron_rights(
+    sub: RandomSubstitution, ell: int, images: Iterator[dict], degenerate: bool, tol: float
+) -> Iterator[np.ndarray]:
+    """Right Perron vector of the induced matrix at each point weighed in ``images``.
+    Primitivity is decided once, on the support; one matrix is held at a time, its
+    entries summed in ``substitution_matrix``'s order, so they match it bit for bit."""
+    keys, values = [], []  # per window its images' letters; per letter its image's weight
+    for merged in images:
+        keys.append("".join(merged))
+        values += [p for image, p in merged.items() for _ in image]
+    if _strong_period([list(map(ord, set(k))) for k in keys]) != (True, 1):
+        raise NotPrimitiveError(f"induced substitution at ell={ell} is not primitive")
+    if sub.max_image_len == 1:
+        raise EmptySubshiftError(
+            "empty subshift: all images have length 1, no legal words beyond letters"
+        )
+    rows = np.fromiter(map(ord, "".join(keys)), dtype=np.intp)
+    cols = np.repeat(np.arange(len(keys)), list(map(len, keys)))
+    for point_values in np.array(values).reshape(len(rows), -1).T:
+        m = np.zeros((len(keys), len(keys)))
+        np.add.at(m, (rows, cols), point_values)
+        yield _perron_right(m, degenerate, tol=tol)
+
+
 def word_frequencies(
     sub: RandomSubstitution,
     ell: int,
@@ -140,15 +178,10 @@ def word_frequencies(
     result can be zero).  An empty subshift carries no invariant measure,
     so it is refused at every ell.
     """
-    ind = induced_substitution(sub, ell, table=table, budget=budget)
-    if not induced_is_primitive(ind):
-        raise NotPrimitiveError(f"induced substitution at ell={ell} is not primitive")
-    if sub.max_image_len == 1:
-        raise EmptySubshiftError(
-            "empty subshift: all images have length 1, no legal words beyond letters"
-        )
-    right = _perron_right(induced_matrix(ind), sub.is_degenerate, tol=tol)
-    return FrequencyVector(ell=ell, words=ind.words, values=tuple(float(x) for x in right))
+    words = _windows(sub, ell, table, budget)
+    images = _induced_images(sub, ell, words, [r.probabilities for r in sub.rules], budget)
+    (right,) = _perron_rights(sub, ell, images, sub.is_degenerate, tol)
+    return FrequencyVector(ell=ell, words=words, values=tuple(float(x) for x in right))
 
 
 @dataclass(frozen=True)
@@ -201,6 +234,10 @@ def unique_ergodicity_scan(
     the grid, the one with the largest high/low ratio, ties broken in
     canonical (ell, word) order.
     """
+    if not tol >= 0.0:  # NaN included: a spread of 0 must never count as variation
+        raise ValueError(f"scan tolerance must be at least 0, got {tol!r}")
+    if ell_max < 1:
+        raise ValueError("ell_max must be at least 1")
     if len(grid) < 2:
         raise ValueError("the scan needs at least two grid points")
     probed = [with_probabilities(sub, point) for point in grid]
@@ -213,12 +250,15 @@ def unique_ergodicity_scan(
         raise NotPrimitiveError("unique-ergodicity scan requires a primitive substitution")
 
     table = legal_words(sub, ell_max, budget=budget)
+    # per letter, one row per image holding its probability at every grid point
+    by_letter = zip(*[[rule.probabilities for rule in p.rules] for p in probed])
+    weights = [np.array(probabilities).T for probabilities in by_letter]
     witness: ErgodicityWitness | None = None
     witness_ratio = -np.inf
     for ell in range(1, ell_max + 1):
-        vectors = [word_frequencies(p, ell, table=table, budget=budget) for p in probed]
-        values = np.array([vec.values for vec in vectors])  # points x words
-        low, high = values.argmin(axis=0), values.argmax(axis=0)
+        words = _windows(sub, ell, table, budget)
+        images = _induced_images(sub, ell, words, weights, budget)
+        values = np.array(list(_perron_rights(sub, ell, images, False, DEFAULT_PF_TOL)))
         low_values, high_values = values.min(axis=0), values.max(axis=0)
         ratios = np.where(
             high_values - low_values > tol,
@@ -228,14 +268,9 @@ def unique_ergodicity_scan(
         best = int(ratios.argmax())  # first word of the largest ratio
         if ratios[best] > witness_ratio:
             witness_ratio = ratios[best]
-            witness = ErgodicityWitness(
-                ell=ell,
-                word=vectors[0].words[best],
-                low_point=int(low[best]),
-                high_point=int(high[best]),
-                low_value=float(low_values[best]),
-                high_value=float(high_values[best]),
-            )
+            column = values[:, best].tolist()  # the word's value at each point
+            low, high = column.index(min(column)), column.index(max(column))
+            witness = ErgodicityWitness(ell, words[best], low, high, column[low], column[high])
     return ErgodicityVerdict(
         not_uniquely_ergodic=witness is not None,
         ell_max=ell_max,
@@ -288,23 +323,14 @@ def ratio_condition_check(
     checked = 0
     for rule in sub.rules:
         counts = [letter_counts(image, n) for image in rule.images]
-        for q1 in range(rule.arity):
-            for q2 in range(q1 + 1, rule.arity):
-                for i1 in range(n):
-                    for i2 in range(i1 + 1, n):
-                        d1 = counts[q1][i1] - counts[q2][i1]
-                        d2 = counts[q1][i2] - counts[q2][i2]
-                        checked += 1
-                        residual = abs(d1 * r[i2] - d2 * r[i1])
-                        if residual > tol:
-                            violations.append(
-                                RatioViolation(
-                                    letter=rule.source,
-                                    image_pair=(q1, q2),
-                                    letter_pair=(i1, i2),
-                                    delta_first=d1,
-                                    delta_second=d2,
-                                    residual=float(residual),
-                                )
-                            )
+        pairs = product(combinations(range(rule.arity), 2), combinations(range(n), 2))
+        for (q1, q2), (i1, i2) in pairs:
+            d1 = counts[q1][i1] - counts[q2][i1]
+            d2 = counts[q1][i2] - counts[q2][i2]
+            checked += 1
+            residual = abs(d1 * r[i2] - d2 * r[i1])
+            if residual > tol:
+                violations.append(
+                    RatioViolation(rule.source, (q1, q2), (i1, i2), d1, d2, float(residual))
+                )
     return RatioConditionReport(tuple(violations), checked, tol)

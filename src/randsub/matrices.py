@@ -145,6 +145,8 @@ class PerronData:
 
 
 def _power_iterate(m: np.ndarray, tol: float, cap: int) -> tuple[float, np.ndarray, int]:
+    if not 0.0 < tol < np.inf:  # tol <= 0 never converges, and NaN or inf proves nothing
+        raise ValueError(f"Perron-Frobenius tolerance must be positive and finite, got {tol!r}")
     n = m.shape[0]
     x = np.full(n, 1.0 / n)
     # Converge a little past tol so downstream identities hold at tol.

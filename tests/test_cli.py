@@ -117,6 +117,34 @@ class TestExitCodes:
         with pytest.raises(KeyError):
             main(["info", "--example", "golden"])
 
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_non_positive_solver_tolerance_is_two(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "freq", "--example", "random-fibonacci", "--ell", "2", "--tol", tol
+        )
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--lmax", "1", "--tol", "-1"), "scan tolerance must be at least 0"),
+            (("--lmax", "1", "--tol", "nan"), "scan tolerance must be at least 0"),
+            (("--lmax", "0"), "ell_max must be at least 1"),
+        ],
+        ids=["negative-tol", "nan-tol", "lmax-0"],
+    )
+    def test_bad_scan_arguments_are_two(self, capsys, tmp_path, flags, message):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("0:0.5,0.5\n0:0.9,0.1\n")
+        code, out, err = run_cli(
+            capsys, "ergodicity", "--example", "period-doubling", "--grid", str(grid), *flags
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["language", "--example", "golden"])  # missing --lmax

@@ -170,6 +170,11 @@ class TestWordFrequencies:
             total = sum(v for w, v in r3.as_dict().items() if w[0] == letter_word)
             assert total == pytest.approx(r1_value, abs=1e-10)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_solver_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            rs.word_frequencies(rs.get_example("random-fibonacci"), 2, tol=tol)
+
     def test_not_primitive_rejected(self):
         sub = rs.parse_spec("alphabet: a b\nrule a -> a:1\nrule b -> b:1\n")
         with pytest.raises(rs.NotPrimitiveError):
@@ -235,6 +240,23 @@ class TestErgodicityScan:
         fib = rs.get_example("random-fibonacci")
         with pytest.raises(ValueError):
             rs.unique_ergodicity_scan(fib, 2, [{"a": (0.5, 0.5)}])
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+    def test_tolerance_below_zero_or_nan_rejected(self, tol):
+        # a spread of 0 must never count as variation
+        fib = rs.get_example("random-fibonacci")
+        with pytest.raises(ValueError, match="scan tolerance must be at least 0"):
+            rs.unique_ergodicity_scan(fib, 1, [{"a": (0.5, 0.5)}, {"a": (0.9, 0.1)}], tol=tol)
+
+    def test_zero_tolerance_keeps_equal_points_consistent(self):
+        pd = rs.get_example("period-doubling")
+        verdict = rs.unique_ergodicity_scan(pd, 2, [{"0": (0.5, 0.5)}] * 2, tol=0.0)
+        assert verdict.status == "consistent-up-to"
+
+    def test_window_length_below_one_rejected(self):
+        fib = rs.get_example("random-fibonacci")
+        with pytest.raises(ValueError, match="ell_max must be at least 1"):
+            rs.unique_ergodicity_scan(fib, 0, [{"a": (0.5, 0.5)}, {"a": (0.9, 0.1)}])
 
 
 class TestRatioCondition:

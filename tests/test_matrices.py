@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,10 @@ class TestPerron:
             rs.perron_data(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             rs.perron_data(np.array([[1.0, -0.1], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # tol <= 0 would run the full iteration cap before failing
+        m = rs.substitution_matrix(rs.get_example("random-fibonacci"))
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            rs.perron_data(m, tol=tol)

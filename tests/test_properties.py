@@ -11,6 +11,7 @@ import pytest
 import randsub as rs
 import randsub.induced
 from randsub.core import _realisation_map, power_realisation_words
+from randsub.matrices import _perron_right
 from randsub.sampler import _expand_levels, stream_u01
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -542,6 +543,75 @@ class TestErgodicityWitness:
             assert verdict.witness == expected, rs.serialize(sub)
             scanned += 1
         assert scanned > 0
+
+
+def reference_frequencies(sub, ell, table=None):
+    """Reference: the Perron vector of the induced substitution's own
+    substitution matrix, summed entry by entry in its rule order."""
+    ind = rs.induced_substitution(sub, ell, table=table)
+    return _perron_right(rs.substitution_matrix(ind.sub), sub.is_degenerate)
+
+
+def scan_vectors(monkeypatch, sub, ell_max, grid):
+    """Per window length, the per-point Perron vectors the scan compared."""
+    seen = []
+    shared = randsub.induced._perron_rights
+
+    def recorded(*args):
+        vectors = list(shared(*args))
+        seen.append(vectors)
+        return iter(vectors)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(randsub.induced, "_perron_rights", recorded)
+        rs.unique_ergodicity_scan(sub, ell_max, grid)
+    return seen
+
+
+class TestOneBuildPerWindowLength:
+    """The scan builds each window length once for the whole grid; every
+    point's frequencies must be bit for bit those of a one-point build."""
+
+    def assert_scan_matches_points(self, monkeypatch, sub, ell_max, grid):
+        table = rs.legal_words(sub, ell_max)
+        seen = scan_vectors(monkeypatch, sub, ell_max, grid)
+        assert len(seen) == ell_max
+        for ell, vectors in enumerate(seen, start=1):
+            assert len(vectors) == len(grid)
+            for point, vector in zip(grid, vectors):
+                probed = rs.with_probabilities(sub, point)
+                values = rs.word_frequencies(probed, ell, table=table).values
+                assert np.array_equal(vector, values), (rs.serialize(sub), ell, point)
+                assert np.array_equal(vector, reference_frequencies(probed, ell, table))
+
+    def test_pool(self, pool, monkeypatch):
+        rng = random.Random(0x5CA2)
+        scanned = 0
+        for sub in pool:
+            if rs.is_empty_subshift(sub):
+                continue
+            grid = [seeded_point(sub, rng) for _ in range(3)]
+            self.assert_scan_matches_points(monkeypatch, sub, 3, grid)
+            scanned += 1
+        assert scanned > 0
+
+    def test_registry(self, monkeypatch):
+        rng = random.Random(0x5CA3)
+        for name in rs.example_names():
+            sub = rs.get_example(name)
+            if rs.is_empty_subshift(sub):
+                continue
+            grid = [seeded_point(sub, rng) for _ in range(3)]
+            self.assert_scan_matches_points(monkeypatch, sub, 6, grid)
+
+    def test_degenerate_point(self):
+        # zero-probability images stay in the support and shift the matrix by I
+        fib = rs.with_probabilities(rs.get_example("random-fibonacci"), {"a": (1.0, 0.0)})
+        assert fib.is_degenerate
+        table = rs.legal_words(fib, 6)
+        for ell in range(1, 7):
+            values = rs.word_frequencies(fib, ell, table=table).values
+            assert np.array_equal(values, reference_frequencies(fib, ell, table))
 
 
 class TestInducedPrimitivity:
