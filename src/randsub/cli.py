@@ -72,6 +72,17 @@ def _parse_assignment(text: str) -> dict[str, tuple[float, ...]]:
     return out
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an int of at least 1, got {text!r}")
+    return value
+
+
 def _format_assignment(point: dict[str, tuple[float, ...]]) -> str:
     return ";".join(
         f"{letter}={'|'.join(format_float(p) for p in probs)}"
@@ -292,13 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="work budget for enumerations"
+        "--budget", type=_positive_int, default=DEFAULT_BUDGET, help="work budget for enumerations"
     )
     common.add_argument(
         "--tol", type=float, default=None, help="tolerance override (context specific)"
     )
     common.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+        "--threads", type=_positive_int, default=1, help="accepted for compatibility; has no effect"
     )
     common.add_argument(
         "--probs",
@@ -371,8 +382,6 @@ _TOL_DEFAULTS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     if args.tol is None:
         args.tol = _TOL_DEFAULTS.get(args.func, 1e-12)
     try:

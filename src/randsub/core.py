@@ -187,15 +187,22 @@ class RandomSubstitution:
         return any(p == 0.0 for rule in self.rules for p in rule.probabilities)
 
     def rule(self, letter: int | str) -> Rule:
-        if isinstance(letter, str):
-            letter = self.alphabet.index(letter)
-        return self.rules[letter]
+        return self.rules[_letter_index(self, letter)]
 
     def expected_image_lengths(self) -> list[float]:
         """Expected length of the image of each letter."""
         return [
             sum(p * len(w) for w, p in zip(r.images, r.probabilities)) for r in self.rules
         ]
+
+
+def _letter_index(sub: RandomSubstitution, letter: int | str) -> int:
+    """The index of a letter given by its token or its index."""
+    if isinstance(letter, str):
+        return sub.alphabet.index(letter)
+    if not 0 <= letter < sub.n_letters:
+        raise UnknownLetterError(f"letter index {letter!r} outside 0..{sub.n_letters - 1}")
+    return letter
 
 
 def same_support(a: RandomSubstitution, b: RandomSubstitution) -> bool:
@@ -422,8 +429,7 @@ def power_realisations(
     """Distinct realisations of the k-th image of a single letter."""
     if k < 0:
         raise ValueError("power must be non-negative")
-    if isinstance(letter, str):
-        letter = sub.alphabet.index(letter)
+    letter = _letter_index(sub, letter)
     dist: dict[Word, float] = {chr(letter): 1.0}
     for level in range(1, k + 1):
         grown: dict[Word, float] = {}
@@ -498,8 +504,7 @@ def power_realisation_words(
     """
     if k < 0:
         raise ValueError("power must be non-negative")
-    if isinstance(letter, str):
-        letter = sub.alphabet.index(letter)
+    letter = _letter_index(sub, letter)
 
     def image(w: Word, level: int) -> Iterator[Word]:
         try:
@@ -555,8 +560,7 @@ def is_realisation(sub: RandomSubstitution, letter: int | str, k: int, word: Wor
     """
     if k < 0:
         raise ValueError("power must be non-negative")
-    if isinstance(letter, str):
-        letter = sub.alphabet.index(letter)
+    letter = _letter_index(sub, letter)
     images, bounds = _realisation_bounds(tuple(rule.images for rule in sub.rules), k)
     lo, hi = bounds[k]
     if not lo[letter] <= len(word) <= hi[letter]:

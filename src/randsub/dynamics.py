@@ -139,6 +139,8 @@ def entropy_bracket(
 ) -> EntropyBracket:
     if not is_primitive(sub):
         raise NotPrimitiveError("entropy bracket requires a primitive substitution")
+    if k_max < 1:  # before the closure, which can take seconds
+        raise ValueError("k_max must be at least 1")
     table = legal_words(sub, ell_max, table=table, budget=budget)
     counts = complexity(table, ell_max)
     profile = tuple(

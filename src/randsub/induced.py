@@ -33,8 +33,8 @@ from .core import (
 )
 from .errors import EmptySubshiftError, NotPrimitiveError
 from .language import LanguageTable, legal_words
-from .matrices import DEFAULT_PF_TOL, _perron_right, _strong_period, is_primitive
-from .matrices import substitution_matrix
+from .matrices import DEFAULT_PF_TOL, _assemble, _perron_right, _strong_period, _successors
+from .matrices import is_primitive, substitution_matrix
 
 DEFAULT_SCAN_TOL = 1e-6
 
@@ -113,8 +113,7 @@ def induced_substitution(
 
 
 def induced_matrix(ind: InducedSubstitution) -> np.ndarray:
-    """Expected matrix of the induced substitution (same formula as the
-    base substitution matrix, over the induced alphabet)."""
+    """Expected matrix of the induced substitution, over the induced alphabet."""
     return substitution_matrix(ind.sub)
 
 
@@ -142,24 +141,18 @@ class FrequencyVector:
 def _perron_rights(
     sub: RandomSubstitution, ell: int, images: Iterator[dict], degenerate: bool, tol: float
 ) -> Iterator[np.ndarray]:
-    """Right Perron vector of the induced matrix at each point weighed in ``images``.
-    Primitivity is decided once, on the support; one matrix is held at a time, its
-    entries summed in ``substitution_matrix``'s order, so they match it bit for bit."""
-    keys, values = [], []  # per window its images' letters; per letter its image's weight
+    """Each point's right Perron vector; primitivity is decided once, on the support."""
+    columns, weights = [], []  # per window its images' letters; per letter its image's weight
     for merged in images:
-        keys.append("".join(merged))
-        values += [p for image, p in merged.items() for _ in image]
-    if _strong_period([list(map(ord, set(k))) for k in keys]) != (True, 1):
+        columns.append("".join(merged))
+        weights += [p for image, p in merged.items() for _ in image]
+    if _strong_period(_successors(columns)) != (True, 1):
         raise NotPrimitiveError(f"induced substitution at ell={ell} is not primitive")
     if sub.max_image_len == 1:
         raise EmptySubshiftError(
             "empty subshift: all images have length 1, no legal words beyond letters"
         )
-    rows = np.fromiter(map(ord, "".join(keys)), dtype=np.intp)
-    cols = np.repeat(np.arange(len(keys)), list(map(len, keys)))
-    for point_values in np.array(values).reshape(len(rows), -1).T:
-        m = np.zeros((len(keys), len(keys)))
-        np.add.at(m, (rows, cols), point_values)
+    for m in _assemble(columns, weights):
         yield _perron_right(m, degenerate, tol=tol)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,28 +27,35 @@ DEFAULT_PF_TOL = 1e-12
 PF_ITERATION_CAP = 10**6
 
 
+def _image_letters(sub: RandomSubstitution) -> list[str]:
+    """Each letter's image letters, joined in declaration order."""
+    return ["".join(rule.images) for rule in sub.rules]
+
+
+def _assemble(columns: Sequence[str], weights: Sequence) -> Iterator[np.ndarray]:
+    """Each point's matrix, entry (i, j) summing the weights of letter i's occurrences in
+    ``columns[j]``.  ``weights`` has one entry per occurrence, a float or P floats for P
+    points, summed with ``np.add.at`` in column order; one matrix is held at a time."""
+    n = len(columns)
+    rows = np.fromiter(map(ord, "".join(columns)), dtype=np.intp)
+    cols = np.repeat(np.arange(n), list(map(len, columns)))
+    for point_weights in np.array(weights, dtype=float).reshape(len(rows), -1).T:
+        m = np.zeros((n, n))
+        np.add.at(m, (rows, cols), point_weights)
+        yield m
+
+
 def substitution_matrix(sub: RandomSubstitution) -> np.ndarray:
     """Expected letter-count matrix M[i, j] = sum_q p_jq * |w_(j,q)|_i."""
-    n = sub.n_letters
-    m = np.zeros((n, n), dtype=float)
-    for rule in sub.rules:
-        j = rule.source
-        for image, p in zip(rule.images, rule.probabilities):
-            for c in image:
-                m[ord(c), j] += p
-    return m
+    weights = [p for r in sub.rules for w, p in zip(r.images, r.probabilities) for _ in w]
+    return next(_assemble(_image_letters(sub), weights))
 
 
 def support_matrix(sub: RandomSubstitution) -> np.ndarray:
     """0/1 matrix: entry (i, j) = 1 iff letter i occurs in some image of j,
     regardless of that image's probability."""
-    n = sub.n_letters
-    m = np.zeros((n, n), dtype=np.int64)
-    for rule in sub.rules:
-        for image in rule.images:
-            for c in image:
-                m[ord(c), rule.source] = 1
-    return m
+    columns = _image_letters(sub)
+    return (next(_assemble(columns, [1.0] * sum(map(len, columns)))) > 0).astype(np.int64)
 
 
 def _bfs_levels(adjacency: Sequence[Sequence[int]]) -> list[int]:
@@ -104,10 +111,9 @@ def _matrix_successors(support: np.ndarray) -> list[list[int]]:
     return successors
 
 
-def _substitution_successors(sub: RandomSubstitution) -> list[list[int]]:
-    """Successors j -> i for the letters i of the images of each letter j,
-    regardless of their probabilities."""
-    return [list(map(ord, set("".join(rule.images)))) for rule in sub.rules]
+def _successors(columns: Sequence[str]) -> list[list[int]]:
+    """Successors j -> i for the letters i of ``columns[j]``, whatever their weights."""
+    return [list(map(ord, set(column))) for column in columns]
 
 
 def is_irreducible_matrix(support: np.ndarray) -> bool:
@@ -121,11 +127,11 @@ def is_primitive_matrix(support: np.ndarray) -> bool:
 
 
 def is_primitive(sub: RandomSubstitution) -> bool:
-    return _strong_period(_substitution_successors(sub)) == (True, 1)
+    return _strong_period(_successors(_image_letters(sub))) == (True, 1)
 
 
 def is_irreducible(sub: RandomSubstitution) -> bool:
-    return _strong_period(_substitution_successors(sub))[0]
+    return _strong_period(_successors(_image_letters(sub)))[0]
 
 
 @dataclass
@@ -144,26 +150,28 @@ class PerronData:
     iterations: int
 
 
-def _power_iterate(m: np.ndarray, tol: float, cap: int) -> tuple[float, np.ndarray, int]:
+def _power_iterate(m: np.ndarray, tol: float, cap: int) -> tuple[float, np.ndarray, int, float]:
+    """(lam, x summing to 1, steps, max|M x - lam x|) by power iteration from the uniform
+    vector; the product that tests a step's convergence is the next step's product."""
     if not 0.0 < tol < np.inf:  # tol <= 0 never converges, and NaN or inf proves nothing
         raise ValueError(f"Perron-Frobenius tolerance must be positive and finite, got {tol!r}")
     n = m.shape[0]
     x = np.full(n, 1.0 / n)
+    y = m @ x
     # Converge a little past tol so downstream identities hold at tol.
     target = tol / 8.0
     for it in range(1, cap + 1):
-        y = m @ x
         total = y.sum()
         if total <= 0.0:
             raise NoConvergenceError("power iteration collapsed to the zero vector")
         y /= total
         delta = np.abs(y - x).max()
         x = y
-        mx = m @ x
-        lam = mx.sum()
-        residual = np.abs(mx - lam * x).max()
+        y = m @ x
+        lam = y.sum()
+        residual = np.abs(y - lam * x).max()
         if delta < target and residual <= tol * max(1.0, lam) / 2.0:
-            return lam, x, it
+            return lam, x, it, residual
     raise NoConvergenceError(f"power iteration did not converge in {cap} steps")
 
 
@@ -177,11 +185,10 @@ def perron_data(m: np.ndarray, tol: float = DEFAULT_PF_TOL) -> PerronData:
         raise ValueError("matrix must be non-negative")
     if not is_primitive_matrix(m):
         raise NotPrimitiveError("matrix is not primitive")
-    lam, right, it_r = _power_iterate(m, tol, PF_ITERATION_CAP)
-    _, left_raw, it_l = _power_iterate(m.T, tol, PF_ITERATION_CAP)
+    lam, right, it_r, residual = _power_iterate(m, tol, PF_ITERATION_CAP)
+    _, left_raw, it_l, _ = _power_iterate(m.T, tol, PF_ITERATION_CAP)
     left = left_raw / float(left_raw @ right)
-    residual = float(np.abs(m @ right - lam * right).max())
-    return PerronData(float(lam), right, left, residual, it_r + it_l)
+    return PerronData(float(lam), right, left, float(residual), it_r + it_l)
 
 
 def _perron_right(m: np.ndarray, degenerate: bool, tol: float = DEFAULT_PF_TOL) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, RandomSubstitution, Word
+from .core import DEFAULT_BUDGET, RandomSubstitution, Word, _letter_index
 from .errors import BudgetExceededError, WordTooShortError
 from .induced import FrequencyVector, word_frequencies
 from .language import code_base, code_dtype, decode_codes, encode_rows
@@ -57,6 +57,8 @@ def _expand_levels(
 ) -> np.ndarray:
     """The chosen realisation of the k-th image of a letter, as an array
     of letter indices; no level longer than ``budget`` letters is built."""
+    if k < 0:
+        raise ValueError("depth must be non-negative")
     # All images in one flat array, each letter's first image id, and its
     # cumulative probabilities in one row, padded with inf past its arity.
     cum = np.full((sub.n_letters, max(rule.arity for rule in sub.rules)), np.inf)
@@ -102,11 +104,7 @@ def sample_realisation(
 ) -> Word:
     """One realisation of the k-th image of ``letter``, deterministic in
     (sub, letter, k, seed)."""
-    if k < 0:
-        raise ValueError("depth must be non-negative")
-    if isinstance(letter, str):
-        letter = sub.alphabet.index(letter)
-    arr = _expand_levels(sub, letter, k, seed, budget)
+    arr = _expand_levels(sub, _letter_index(sub, letter), k, seed, budget)
     return "".join(map(chr, arr.tolist()))
 
 
@@ -168,9 +166,7 @@ def frequency_report(
 ) -> SampleReport:
     """Sample one realisation of depth k and compare its window
     frequencies with the stationary prediction."""
-    start = 0 if start_letter is None else start_letter
-    if isinstance(start, str):
-        start = sub.alphabet.index(start)
+    start = _letter_index(sub, 0 if start_letter is None else start_letter)
     predicted = word_frequencies(sub, ell, budget=budget)
     arr = _expand_levels(sub, start, k, seed, budget)
     if len(arr) < ell:

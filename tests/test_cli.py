@@ -145,6 +145,33 @@ class TestExitCodes:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--budget", "0"), ("--budget", "-1"), ("--budget", "x"), ("--threads", "0")],
+    )
+    def test_budget_or_threads_below_one_is_two(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["language", "--example", "sofic-ab", "--lmax", "3", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: expected an int of at least 1, got '{value}'" in captured.err
+
+    def test_negative_sample_depth_is_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--example", "golden", "--depth", "-1", "--ell", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: depth must be non-negative\n"
+
+    @pytest.mark.parametrize("probs", ["a0.5,0.5", "a:0.5,x", "z:1"])
+    def test_bad_probability_group_is_two(self, capsys, probs):
+        code, out, err = run_cli(
+            capsys, "info", "--example", "random-fibonacci", "--probs", probs
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["language", "--example", "golden"])  # missing --lmax

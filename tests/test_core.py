@@ -80,6 +80,64 @@ class TestParse:
             pytest.fail("expected BadProbabilityError")
 
 
+# (spec text, error class, line number or None)
+MALFORMED_SPECS = {
+    "empty-alphabet": ("alphabet:\nrule a -> a\n", rs.SpecSyntaxError, None),
+    "reserved-character": ("alphabet: a b|c\nrule a -> a\n", rs.SpecSyntaxError, None),
+    "duplicate-letters": ("alphabet: a b a\nrule a -> a\n", rs.SpecSyntaxError, None),
+    "empty-dotted-component": (
+        "alphabet: ab cd\nrule ab -> ab..cd:1\nrule cd -> ab:1\n", rs.EmptyImageError, 2
+    ),
+    "undotted-multicharacter": (
+        "alphabet: ab cd\nrule ab -> abcd:1\nrule cd -> ab:1\n", rs.SpecSyntaxError, 2
+    ),
+    "missing-arrow": ("alphabet: a\n\nrule a a:1\n", rs.SpecSyntaxError, 3),
+    "empty-alternative": ("alphabet: a\nrule a -> aa | \n", rs.SpecSyntaxError, 2),
+    "no-alphabet-line": ("# only a comment\n\n", rs.SpecSyntaxError, None),
+    "unparseable-probability": ("alphabet: a\nrule a -> a:x\n", rs.BadProbabilityError, 2),
+    "zero-denominator": ("alphabet: a\nrule a -> a:1/0\n", rs.BadProbabilityError, 2),
+}
+
+
+@pytest.mark.parametrize("text, error, line", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS)
+def test_malformed_spec_refused(text, error, line):
+    with pytest.raises(error) as info:
+        rs.parse_spec(text)
+    assert type(info.value) is error
+    assert info.value.line == line
+
+
+def test_unknown_example_name_refused():
+    with pytest.raises(KeyError, match="unknown example 'nope'; bundled examples: "):
+        rs.get_example("nope")
+
+
+def test_empty_letter_token_refused():
+    with pytest.raises(rs.SpecSyntaxError, match="non-empty"):
+        rs.Alphabet(["a", ""])
+
+
+A, AA = chr(0), chr(0) * 2
+
+
+@pytest.mark.parametrize(
+    "letters, rules, error",
+    [
+        ("a", [rs.Rule(0, (), ())], rs.SpecSyntaxError),
+        ("a", [rs.Rule(0, (A, A), (0.5, 0.5))], rs.SpecSyntaxError),
+        ("a", [rs.Rule(0, ("",), (1.0,))], rs.EmptyImageError),
+        ("a", [rs.Rule(0, (A, AA), (1.5, -0.5))], rs.BadProbabilityError),
+        ("ab", [rs.Rule(0, (A,), (1.0,)), rs.Rule(0, (A,), (1.0,))], rs.SpecSyntaxError),
+        ("ab", [rs.Rule(0, (A,), (1.0,))], rs.SpecSyntaxError),
+    ],
+    ids=["no-image", "duplicate-images", "empty-image", "probability-range", "order", "count"],
+)
+def test_invalid_rules_refused(letters, rules, error):
+    with pytest.raises(error) as info:
+        rs.RandomSubstitution(rs.Alphabet(list(letters)), rules)
+    assert type(info.value) is error
+
+
 class TestSerialize:
     def test_round_trip_is_identity_on_canonical_text(self):
         for name in rs.example_names():
@@ -221,6 +279,8 @@ class TestRealisationStreams:
         with pytest.raises(ValueError):
             power_realisation_words(sub, "a", -1)
         with pytest.raises(ValueError):
+            rs.power_realisations(sub, "a", -1)
+        with pytest.raises(ValueError):
             list(realisation_words(sub, ""))
 
 
@@ -234,6 +294,25 @@ class TestIsRealisation:
         assert rs.is_realisation(sub, 0, 1, A.word("ba"))  # probability zero
         with pytest.raises(ValueError):
             rs.is_realisation(sub, "a", -1, A.word("a"))
+
+
+LETTER_ENTRY_POINTS = {
+    "rule": lambda sub, a: sub.rule(a),
+    "power_realisations": lambda sub, a: rs.power_realisations(sub, a, 1),
+    "power_realisation_words": lambda sub, a: power_realisation_words(sub, a, 1),
+    "is_realisation": lambda sub, a: rs.is_realisation(sub, a, 1, sub.alphabet.word("01")),
+    "sample_realisation": lambda sub, a: rs.sample_realisation(sub, a, 2, 0),
+    "frequency_report": lambda sub, a: rs.frequency_report(sub, 1, 2, 0, start_letter=a),
+}
+
+
+@pytest.mark.parametrize("letter", [5, -1])
+@pytest.mark.parametrize("call", LETTER_ENTRY_POINTS.values(), ids=LETTER_ENTRY_POINTS)
+def test_letter_index_outside_the_alphabet_refused(call, letter):
+    golden = rs.get_example("golden")
+    with pytest.raises(rs.UnknownLetterError, match="outside 0..1"):
+        call(golden, letter)
+    call(golden, 1)  # a valid index is still taken as given
 
 
 class TestWithProbabilities:

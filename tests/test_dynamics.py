@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import randsub as rs
+import randsub.dynamics
 
 
 class TestStrongAffix:
@@ -115,6 +116,14 @@ class TestEntropyBracket:
         sub = rs.parse_spec("alphabet: a b\nrule a -> a:1\nrule b -> b:1\n")
         with pytest.raises(rs.NotPrimitiveError):
             rs.entropy_bracket(sub, 4, 1)
+
+    def test_k_max_checked_before_the_closure(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the language was closed before k_max was checked")
+
+        monkeypatch.setattr(randsub.dynamics, "legal_words", refused)
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            rs.entropy_bracket(rs.get_example("sofic-ab"), 22, 0)
 
     def test_periodic_expected_matrix(self):
         # The support is primitive, but with a -> a at probability zero the

@@ -11,7 +11,8 @@ import pytest
 import randsub as rs
 import randsub.induced
 from randsub.core import _realisation_map, power_realisation_words
-from randsub.matrices import _perron_right
+from randsub.matrices import DEFAULT_PF_TOL, PF_ITERATION_CAP, _assemble, _perron_right
+from randsub.matrices import _power_iterate
 from randsub.sampler import _expand_levels, stream_u01
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -661,6 +662,168 @@ class TestCensusAndZeta:
                     for d in range(1, n):
                         if n % d == 0:
                             assert census.count(n) >= census.count(d)
+
+
+def loop_substitution_matrix(sub):
+    """Reference: substitution_matrix as it was before the one assembly,
+    adding each image's probability once per occurrence of each letter,
+    rule by rule and image by image."""
+    n = sub.n_letters
+    m = np.zeros((n, n), dtype=float)
+    for rule in sub.rules:
+        j = rule.source
+        for image, p in zip(rule.images, rule.probabilities):
+            for c in image:
+                m[ord(c), j] += p
+    return m
+
+
+def loop_support_matrix(sub):
+    """Reference: support_matrix as it was before the one assembly."""
+    n = sub.n_letters
+    m = np.zeros((n, n), dtype=np.int64)
+    for rule in sub.rules:
+        for image in rule.images:
+            for c in image:
+                m[ord(c), rule.source] = 1
+    return m
+
+
+def two_product_iterate(m, tol, cap):
+    """Reference: _power_iterate as it was before one product per step,
+    with a second product per step to test convergence."""
+    n = m.shape[0]
+    x = np.full(n, 1.0 / n)
+    target = tol / 8.0
+    for it in range(1, cap + 1):
+        y = m @ x
+        total = y.sum()
+        if total <= 0.0:
+            raise rs.NoConvergenceError("power iteration collapsed to the zero vector")
+        y /= total
+        delta = np.abs(y - x).max()
+        x = y
+        mx = m @ x
+        lam = mx.sum()
+        residual = np.abs(mx - lam * x).max()
+        if delta < target and residual <= tol * max(1.0, lam) / 2.0:
+            return lam, x, it, residual
+    raise rs.NoConvergenceError(f"power iteration did not converge in {cap} steps")
+
+
+def two_product_perron_data(m, tol):
+    """Reference: perron_data on the two-product iteration, with its
+    residual computed from one more product."""
+    lam, right, it_r, _ = two_product_iterate(m, tol, PF_ITERATION_CAP)
+    _, left_raw, it_l, _ = two_product_iterate(m.T, tol, PF_ITERATION_CAP)
+    left = left_raw / float(left_raw @ right)
+    residual = float(np.abs(m @ right - lam * right).max())
+    return rs.PerronData(float(lam), right, left, residual, it_r + it_l)
+
+
+DEGENERATE_SPEC = "alphabet: a b\nrule a -> bb:1 | a:0\nrule b -> a:1\n"
+ORACLE_INDUCED_ELL = 6
+
+
+@pytest.fixture(scope="module")
+def matrix_subs(pool, registry):
+    """The pool with seeded non-dyadic probabilities, the registry, a
+    degenerate substitution, and the induced substitutions at ell <= 6 of
+    every non-empty registry example, as given and with non-dyadic
+    probabilities."""
+    rng = random.Random(0xA55E)
+    subs = [non_dyadic(sub, rng) for sub in pool] + registry + [rs.parse_spec(DEGENERATE_SPEC)]
+    for sub in registry:
+        if rs.is_empty_subshift(sub):
+            continue
+        table = rs.legal_words(sub, ORACLE_INDUCED_ELL)
+        for probed in (sub, non_dyadic(sub, rng)):
+            for ell in range(1, ORACLE_INDUCED_ELL + 1):
+                subs.append(rs.induced_substitution(probed, ell, table=table).sub)
+    return subs
+
+
+class TestMatrixAssembly:
+    """Every matrix comes from one assembly; its entries must be bit for
+    bit the loop's, which adds in the same order."""
+
+    def test_substitution_and_support_match_loop(self, matrix_subs):
+        for sub in matrix_subs:
+            m = rs.substitution_matrix(sub)
+            assert m.dtype == np.float64
+            assert np.array_equal(m, loop_substitution_matrix(sub)), rs.serialize(sub)
+            support = rs.support_matrix(sub)
+            assert support.dtype == np.int64
+            assert np.array_equal(support, loop_support_matrix(sub)), rs.serialize(sub)
+
+    def test_induced_frequency_matrices_match_loop(self, monkeypatch):
+        # word_frequencies (one point) and the scan (three points) assemble
+        # each point's induced matrix without building the induced substitution.
+        built = []
+
+        def recorded(columns, weights):
+            for m in _assemble(columns, weights):
+                built.append(m.copy())
+                yield m
+
+        monkeypatch.setattr(randsub.induced, "_assemble", recorded)
+        rng = random.Random(0xA55F)
+        for name in rs.example_names():
+            sub = rs.get_example(name)
+            if rs.is_empty_subshift(sub):
+                continue
+            table = rs.legal_words(sub, ORACLE_INDUCED_ELL)
+            grid = [seeded_point(sub, rng) for _ in range(3)]
+            probed = [rs.with_probabilities(sub, point) for point in grid]
+            for ell in range(1, ORACLE_INDUCED_ELL + 1):
+                built.clear()
+                rs.word_frequencies(probed[0], ell, table=table)
+                expected = rs.induced_substitution(probed[0], ell, table=table).sub
+                assert len(built) == 1
+                assert np.array_equal(built[0], loop_substitution_matrix(expected)), (name, ell)
+            built.clear()
+            rs.unique_ergodicity_scan(sub, ORACLE_INDUCED_ELL, grid)
+            assert len(built) == ORACLE_INDUCED_ELL * len(grid)
+            for i, m in enumerate(built):
+                ell, point = divmod(i, len(grid))
+                expected = rs.induced_substitution(probed[point], ell + 1, table=table).sub
+                assert np.array_equal(m, loop_substitution_matrix(expected)), (name, ell + 1)
+
+
+class TestOneProductPerStep:
+    """The product that tests a step's convergence is the next step's
+    product; the iteration must match the two-product one bit for bit."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_PF_TOL, 1e-6])
+    def test_power_iteration_matches_two_products(self, matrix_subs, tol):
+        checked = 0
+        for sub in matrix_subs:
+            m = rs.substitution_matrix(sub)
+            if sub.is_degenerate:
+                m = m + np.eye(len(m))  # as _perron_right iterates it
+            if not rs.is_primitive_matrix(m):
+                continue
+            for a in (m, m.T):
+                lam, x, steps, residual = _power_iterate(a, tol, PF_ITERATION_CAP)
+                ref_lam, ref_x, ref_steps, ref_residual = two_product_iterate(
+                    a, tol, PF_ITERATION_CAP
+                )
+                assert lam == ref_lam and steps == ref_steps, rs.serialize(sub)
+                assert np.array_equal(x, ref_x) and residual == ref_residual, rs.serialize(sub)
+            checked += 1
+        assert checked == len(matrix_subs)
+
+    def test_perron_data_matches_two_products(self, matrix_subs):
+        checked = 0
+        for sub in matrix_subs:
+            m = rs.substitution_matrix(sub)
+            if not rs.is_primitive_matrix(m):
+                continue
+            pf, ref = rs.perron_data(m), two_product_perron_data(m, DEFAULT_PF_TOL)
+            assert (pf.lam, pf.residual, pf.iterations) == (ref.lam, ref.residual, ref.iterations)
+            assert np.array_equal(pf.right, ref.right) and np.array_equal(pf.left, ref.left)
+            checked += 1
+        assert checked == len(matrix_subs) - 1  # all but the degenerate one
 
 
 class TestPerronIdentities:

@@ -166,6 +166,13 @@ class TestFrequencyReport:
         b = rs.frequency_report(fib, 2, 12, 5)
         assert a == b
 
+    def test_negative_depth_refused(self):
+        golden = rs.get_example("golden")
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            rs.frequency_report(golden, 1, -1, 0)
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            rs.sample_realisation(golden, 0, -1, 0)
+
     def test_budget_caps_the_prediction(self):
         fib = rs.get_example("random-fibonacci")
         with pytest.raises(rs.BudgetExceededError, match="closure to length 4"):
