@@ -289,7 +289,10 @@ def parse_spec(text: str) -> RandomSubstitution:
                 raise SpecSyntaxError(
                     "spec must start with an 'alphabet:' line", lineno, raw.find(stripped) + 1
                 )
-            alphabet = Alphabet(stripped[len("alphabet:"):].split())
+            try:
+                alphabet = Alphabet(stripped[len("alphabet:"):].split())
+            except SpecSyntaxError as exc:
+                raise SpecSyntaxError(str(exc), lineno) from None
             continue
         if not stripped.startswith("rule "):
             raise SpecSyntaxError(f"expected a 'rule' line, got {stripped!r}", lineno)

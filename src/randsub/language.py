@@ -90,9 +90,10 @@ def encode_word(word: Word, base: int) -> int:
 
 def encode_rows(letters: np.ndarray, base: int, dtype: type) -> np.ndarray:
     """Codes of the rows of a 2-D array of letter indices."""
-    codes = np.zeros(letters.shape[0], dtype=dtype)
-    for t in range(letters.shape[1]):
-        codes = codes * base + letters[:, t].astype(dtype)
+    codes = letters[:, 0].astype(dtype)
+    for t in range(1, letters.shape[1]):
+        codes *= base
+        codes += letters[:, t]
     return codes
 
 

@@ -15,9 +15,10 @@ declaration order.  Each level of the expansion is fully determined by
 (seed, depth, positions), independent of how the previous level was
 produced.
 
-All images sit in one flat array.  A level takes one draw per letter: the
-chosen image id is the letter's first id plus the count of its cumulative
-probabilities <= u, and the next level is one gather from the flat array.
+A letter's chosen image id is its first id plus the count of cumulative
+probabilities cum <= u, tested as ceil(cum * 2^53) <= value >> 11, which is
+exact because u is.  Each image, padded to a power of two, is one packed row:
+the next level is one gather of rows, compressed by their masks.
 """
 
 from __future__ import annotations
@@ -36,20 +37,31 @@ _GOLDEN = 0x9E3779B97F4A7C15
 GOLDEN = np.uint64(_GOLDEN)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_BLOCK = 1 << 16  # letters per block of a level, so that its draws stay in cache
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # SplitMix64 finaliser on uint64 arrays; wraparound is intended.
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+    # SplitMix64 finaliser, in place with one scratch buffer; wraparound is intended.
+    scratch = np.empty_like(z)
+    for shift, factor in ((30, _M1), (27, _M2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=scratch)
+        z *= factor
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
+
+
+def _draws(seed: int, depth: int, counters: np.ndarray) -> np.ndarray:
+    """``value >> 11`` for the uint64 counters (position + 1) of one depth, in place."""
+    counters *= GOLDEN
+    counters += _mix64(np.array([(seed + (depth + 1) * _GOLDEN) & _MASK], dtype=np.uint64))[0]
+    _mix64(counters)
+    counters >>= np.uint64(11)
+    return counters
 
 
 def stream_u01(seed: int, depth: int, positions: np.ndarray) -> np.ndarray:
     """Uniform [0, 1) variates for the given positions of one depth."""
-    key = _mix64(np.array([(seed + (depth + 1) * _GOLDEN) & _MASK], dtype=np.uint64))[0]
-    counters = key + (positions.astype(np.uint64) + np.uint64(1)) * GOLDEN
-    return (_mix64(counters) >> np.uint64(11)) * 2.0**-53
+    return _draws(seed, depth, positions.astype(np.uint64) + np.uint64(1)) * 2.0**-53
 
 
 def _expand_levels(
@@ -59,43 +71,51 @@ def _expand_levels(
     of letter indices; no level longer than ``budget`` letters is built."""
     if k < 0:
         raise ValueError("depth must be non-negative")
-    # All images in one flat array, each letter's first image id, and its
-    # cumulative probabilities in one row, padded with inf past its arity.
-    cum = np.full((sub.n_letters, max(rule.arity for rule in sub.rules)), np.inf)
-    images: list[Word] = []
-    first = np.empty(sub.n_letters, dtype=np.int32)
+    images = [w for rule in sub.rules for w in rule.images]
+    lengths = np.array([len(w) for w in images], dtype=np.int64)
+    width = 1 << (int(lengths.max()) - 1).bit_length()
+    # Each image padded to ``width`` letters (a power of two, since numpy
+    # gathers such rows fastest) is one row, with a mask row.  Each letter
+    # has its first image id and thresholds ceil(cum * 2^53) cut to [0, 2^53]:
+    # its last cum counts as 1, so that every draw lands, and 1 or more (as
+    # the padding past its arity) is above every draw.
+    table = np.zeros((len(images), width), dtype=np.uint16)
+    mask = np.arange(width) < lengths[:, None]
+    table[mask] = np.fromiter(map(ord, "".join(images)), dtype=np.uint16)
+    packed, packed_mask = table.view(f"V{2 * width}")[:, 0], mask.view(f"V{width}")[:, 0]
+    first = np.cumsum([0] + [rule.arity for rule in sub.rules[:-1]], dtype=np.intp)
+    cum = np.full((sub.n_letters, max(rule.arity for rule in sub.rules)), 1.0)
     for a, rule in enumerate(sub.rules):
-        first[a] = len(images)
-        images.extend(rule.images)
-        row = np.cumsum(np.asarray(rule.probabilities, dtype=float))
-        row[-1] = max(row[-1], 1.0)  # absorb rounding so every u lands
-        cum[a, : rule.arity] = row
-    lengths = np.array([len(w) for w in images], dtype=np.int32)
-    starts = (np.cumsum(lengths) - lengths).astype(np.int32)
-    flat = np.fromiter(map(ord, "".join(images)), dtype=np.uint16)
+        cum[a, : rule.arity - 1] = np.cumsum(rule.probabilities[:-1])
+    thresholds = np.clip(np.ceil(cum * 2.0**53), 0, 2.0**53).astype(np.uint64)
     word = np.array([letter], dtype=np.uint16)
     for depth in range(k):
-        u = stream_u01(seed, depth, np.arange(len(word), dtype=np.uint64))
-        # Inverse CDF: the image id is the letter's first id plus the number
-        # of cumulative probabilities <= u; the last one is >= 1 > u.
-        chosen = first[word]
-        for column in cum[:, :-1].T:
-            chosen += column[word] <= u
-        size = lengths[chosen]
-        total = int(size.sum())
+        # Inverse CDF a block at a time: the image id is the letter's first id
+        # plus its count of thresholds <= v, that is, of cum <= u = v * 2^-53.
+        chosen = np.empty(len(word), dtype=np.intp)
+        for start in range(0, len(word), _BLOCK):
+            letters = word[start : start + _BLOCK].astype(np.intp)
+            counters = np.arange(start + 1, start + len(letters) + 1, dtype=np.uint64)
+            v = _draws(seed, depth, counters)
+            block = np.take(first, letters, out=chosen[start : start + _BLOCK])
+            for column in thresholds[:, :-1].T:
+                block += column[letters] <= v
+        total = int(np.bincount(chosen, minlength=len(images)) @ lengths)
         if total > budget:
             raise BudgetExceededError(
                 f"sample of letter {sub.alphabet.letters[letter]}: {total} letters "
                 f"at level {depth + 1} of {k}",
                 budget,
             )
-        # The gather index steps by one inside an image; at each head it
-        # jumps from the end of the previous image to the start of its own.
-        jump = starts[chosen]
-        jump[1:] -= (jump + size - 1)[:-1]
-        step = np.ones(total, dtype=np.int32)
-        step[np.cumsum(size) - size] = jump
-        word = flat[np.cumsum(step, dtype=np.int32, out=step)]
+        # Gathered a block of rows at a time, so that padding holds at most _BLOCK letters.
+        word, end, step = np.empty(total, dtype=np.uint16), 0, max(1, _BLOCK // width)
+        for start in range(0, len(chosen), step):
+            rows = chosen[start : start + step]
+            part = packed[rows].view(np.uint16)
+            if total < len(chosen) * width:
+                part = part[packed_mask[rows].view(bool)]
+            word[end : end + len(part)] = part
+            end += len(part)
     return word
 
 
@@ -105,7 +125,7 @@ def sample_realisation(
     """One realisation of the k-th image of ``letter``, deterministic in
     (sub, letter, k, seed)."""
     arr = _expand_levels(sub, _letter_index(sub, letter), k, seed, budget)
-    return "".join(map(chr, arr.tolist()))
+    return arr.astype("<u4").tobytes().decode("utf-32-le")
 
 
 def _window_counts(arr: np.ndarray, ell: int, n_letters: int) -> dict[Word, int]:
@@ -128,7 +148,7 @@ def empirical_frequencies(word: Word, ell: int) -> dict[Word, float]:
         raise ValueError("ell must be at least 1")
     if len(word) < ell:
         raise WordTooShortError(f"word of length {len(word)} has no {ell}-windows")
-    arr = np.fromiter(map(ord, word), dtype=np.uint32, count=len(word))
+    arr = np.frombuffer(word.encode("utf-32-le"), dtype="<u4")
     return _frequencies(_window_counts(arr, ell, int(arr.max()) + 1), len(word) - ell + 1)
 
 

@@ -23,3 +23,26 @@ def brute_force_no_11(ell: int) -> set[str]:
     return {
         "".join(w) for w in product("01", repeat=ell) if "11" not in "".join(w)
     }
+
+
+def unmix64(z):
+    """Inverse of the SplitMix64 finaliser on Python ints."""
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    mask = 2**64 - 1
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) & mask
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask
+    return unshift(z, 30)
+
+
+def seed_for_draw(v: int) -> int:
+    """The seed whose draw ``value >> 11`` at depth 0, position 0 is v, found
+    by inverting the documented generator."""
+    golden = 0x9E3779B97F4A7C15
+    key = (unmix64(v << 11) - golden) % 2**64
+    return (unmix64(key) - golden) % 2**64

@@ -82,9 +82,12 @@ class TestParse:
 
 # (spec text, error class, line number or None)
 MALFORMED_SPECS = {
-    "empty-alphabet": ("alphabet:\nrule a -> a\n", rs.SpecSyntaxError, None),
-    "reserved-character": ("alphabet: a b|c\nrule a -> a\n", rs.SpecSyntaxError, None),
-    "duplicate-letters": ("alphabet: a b a\nrule a -> a\n", rs.SpecSyntaxError, None),
+    "empty-alphabet": ("alphabet:\nrule a -> a\n", rs.SpecSyntaxError, 1),
+    "reserved-character": ("alphabet: a b|c\nrule a -> a\n", rs.SpecSyntaxError, 1),
+    "duplicate-letters": ("alphabet: a b a\nrule a -> a\n", rs.SpecSyntaxError, 1),
+    "late-bad-alphabet": (
+        "# header\n\n  # indented comment\nalphabet: a a\nrule a -> a\n", rs.SpecSyntaxError, 4
+    ),
     "empty-dotted-component": (
         "alphabet: ab cd\nrule ab -> ab..cd:1\nrule cd -> ab:1\n", rs.EmptyImageError, 2
     ),

@@ -1,8 +1,10 @@
 """Invariant suites over the bundled registry plus a reproducible pool of
 randomly generated small primitive substitutions."""
 
+import math
 import random
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 import randsub as rs
 import randsub.induced
+from conftest import seed_for_draw
 from randsub.core import _realisation_map, power_realisation_words
 from randsub.matrices import DEFAULT_PF_TOL, PF_ITERATION_CAP, _assemble, _perron_right
 from randsub.matrices import _power_iterate
@@ -902,12 +905,30 @@ def scatter_expand_levels(sub, letter, k, seed):
     return word
 
 
-# Mixed arities with non-dyadic probabilities, and a zero-probability
-# image whose expected matrix is periodic.
+# (spec, depths): mixed arities with non-dyadic probabilities, a
+# zero-probability image whose expected matrix is periodic, longest images of
+# 3, 5 and 9 letters (packed rows of 8, 16 and 32 bytes, compressed by their
+# masks), and images all of 4 letters (no mask) or all of 3 (padded to 4).
 HAND_SAMPLER_SPECS = (
-    "alphabet: a b c\nrule a -> ab:0.3 | c:0.1 | bca:0.6\nrule b -> a:1/3 | cc:2/3\n"
-    "rule c -> b:1\n",
-    "alphabet: a b\nrule a -> bb:1 | a:0\nrule b -> a:1\n",
+    (
+        "alphabet: a b c\nrule a -> ab:0.3 | c:0.1 | bca:0.6\nrule b -> a:1/3 | cc:2/3\n"
+        "rule c -> b:1\n",
+        (1, 5, 12),
+    ),
+    ("alphabet: a b\nrule a -> bb:1 | a:0\nrule b -> a:1\n", (1, 5, 12)),
+    ("alphabet: a b\nrule a -> abb:0.35 | b:0.65\nrule b -> a:0.2 | ba:0.8\n", (1, 5, 12)),
+    (
+        "alphabet: a b c\nrule a -> abcab:0.3 | c:0.7\nrule b -> a:1\n"
+        "rule c -> b:0.5 | ca:0.5\n",
+        (1, 5, 12),
+    ),
+    ("alphabet: a b\nrule a -> abaababaa:0.2 | b:0.8\nrule b -> a:0.7 | ab:0.3\n", (1, 5, 12)),
+    (
+        "alphabet: a b c\nrule a -> abca:0.3 | cccb:0.7\nrule b -> baab:1\n"
+        "rule c -> acbc:1/3 | bbbb:2/3\n",
+        (1, 3, 6),
+    ),
+    ("alphabet: a b\nrule a -> aba:0.4 | bba:0.6\nrule b -> aab:1\n", (1, 4, 8)),
 )
 SAMPLER_SEEDS = (0, 1, -3, 2**64 + 5)
 
@@ -932,5 +953,43 @@ class TestSamplerOracle:
             assert_samplers_agree(sub, (8,))
 
     def test_hand_specs_match(self):
-        for text in HAND_SAMPLER_SPECS:
-            assert_samplers_agree(rs.parse_spec(text), (1, 5, 12), SAMPLER_SEEDS + (2**70,))
+        for text, depths in HAND_SAMPLER_SPECS:
+            assert_samplers_agree(rs.parse_spec(text), depths, SAMPLER_SEEDS + (2**70,))
+
+    def test_sample_string_matches_the_join(self):
+        for text, depths in HAND_SAMPLER_SPECS:
+            sub = rs.parse_spec(text)
+            for letter in range(sub.n_letters):
+                for seed in SAMPLER_SEEDS:
+                    arr = _expand_levels(sub, letter, depths[-1], seed)
+                    want = "".join(map(chr, arr.tolist()))
+                    assert rs.sample_realisation(sub, letter, depths[-1], seed) == want
+
+    def test_integer_thresholds_match_float_comparisons(self, pool):
+        # Each rule's cumulative probabilities c, with draws v = t - 1, t and
+        # t + 1 around t = ceil(c * 2^53) (cut to [0, 2^53], found in exact
+        # arithmetic) from seeds that invert the generator: the image taken
+        # is the one the float inverse CDF takes, counting c <= v * 2^-53
+        # over all but the last cumulative probability.
+        rng = random.Random(0x7E57)
+        edges = rs.parse_spec("alphabet: a b\nrule a -> a | b | ab\nrule b -> ba | b\n")
+        probabilities = (
+            (0.0, 0.5, 0.5),
+            (1.0, 0.0, 0.0),
+            (1 - 2**-53, 2**-53, 0.0),
+            (0.5, 0.5 + 2**-52, 0.0),
+            (-1e-10, 0.5, 0.5 + 1e-10),
+        )
+        subs = [non_dyadic(sub, rng) for sub in pool]
+        subs += [rs.with_probabilities(edges, {"a": p}) for p in probabilities]
+        for sub in subs:
+            for letter, rule in enumerate(sub.rules):
+                cum = np.cumsum(rule.probabilities)[:-1]
+                for c in cum:
+                    t = min(max(math.ceil(Fraction(float(c)) * 2**53), 0), 2**53)
+                    for v in (t - 1, t, t + 1):
+                        if not 0 <= v < 2**53:
+                            continue
+                        image = rule.images[int(np.count_nonzero(cum <= v * 2.0**-53))]
+                        got = _expand_levels(sub, letter, 1, seed_for_draw(v))
+                        assert got.tolist() == list(map(ord, image)), (rule, c, v)

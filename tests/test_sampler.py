@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import randsub as rs
+from conftest import seed_for_draw
 from randsub.sampler import _window_counts
 
 
@@ -39,32 +40,41 @@ class TestStream:
         assert (u >= 0).all() and (u < 1).all()
 
 
-def _unmix64(z):
-    """Inverse of the SplitMix64 finaliser on Python ints."""
-
-    def unshift(y, s):
-        x = y
-        for _ in range(64 // s):
-            x = y ^ (x >> s)
-        return x
-
-    mask = 2**64 - 1
-    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) & mask
-    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask
-    return unshift(z, 30)
-
-
 class TestSampleRealisation:
     def test_variate_on_a_cumulative_probability_picks_the_next_image(self):
-        # The seed that makes u exactly 1/2 at depth 0, position 0, found by
-        # inverting the generator.  The inverse CDF counts the cumulative
-        # probabilities <= u, so u = 1/2 picks the second of two halves.
-        golden = 0x9E3779B97F4A7C15
-        key = (_unmix64(2**63) - golden) % 2**64
-        seed = (_unmix64(key) - golden) % 2**64
+        # The seed that makes u exactly 1/2 at depth 0, position 0.  The
+        # inverse CDF counts the cumulative probabilities <= u, so u = 1/2
+        # picks the second of two halves.
+        seed = seed_for_draw(2**52)
         assert rs.stream_u01(seed, 0, np.zeros(1, dtype=np.uint64))[0] == 0.5
         sub = rs.parse_spec("alphabet: a b\nrule a -> a:1/2 | b:1/2\nrule b -> a:1\n")
         assert rs.sample_realisation(sub, "a", 1, seed) == chr(1)
+
+    def test_rounded_rule_takes_its_last_image_on_the_last_draw(self):
+        # a's probabilities add up to 1 - 2^-53 and the last draw is
+        # u = 1 - 2^-53.  The last cumulative probability counts as 1, so u
+        # picks a's last image and not the first image of b, whose rule has
+        # more images.
+        sub = rs.parse_spec(
+            "alphabet: a b\nrule a -> a:0.7 | b:0.2 | ab:0.1\n"
+            "rule b -> a:1/4 | b:1/4 | ab:1/4 | ba:1/4\n"
+        )
+        assert rs.sample_realisation(sub, "a", 1, seed_for_draw(2**53 - 1)) == chr(0) + chr(1)
+
+    @pytest.mark.parametrize(
+        "name, letter, k", [("period-doubling", "0", 10), ("random-fibonacci", "a", 14)]
+    )
+    def test_budget_boundary(self, name, letter, k):
+        # A level of exactly ``budget`` letters is built; one letter less
+        # refuses it before the gather.
+        sub = rs.get_example(name)
+        size = len(rs.sample_realisation(sub, letter, k, 5))
+        assert len(rs.sample_realisation(sub, letter, k, 5, budget=size)) == size
+        with pytest.raises(rs.BudgetExceededError) as info:
+            rs.sample_realisation(sub, letter, k, 5, budget=size - 1)
+        assert str(info.value) == (
+            f"sample of letter {letter}: {size} letters at level {k} of {k} (budget {size - 1})"
+        )
 
     def test_period_doubling_length_is_power_of_two(self):
         pd = rs.get_example("period-doubling")
