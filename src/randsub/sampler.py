@@ -19,6 +19,14 @@ A letter's chosen image id is its first id plus the count of cumulative
 probabilities cum <= u, tested as ceil(cum * 2^53) <= value >> 11, which is
 exact because u is.  Each image, padded to a power of two, is one packed row:
 the next level is one gather of rows, compressed by their masks.
+
+Memory follows the letters, not their windows.  Image choices are held in
+the smallest unsigned dtype that fits the image ids (one byte a letter for
+up to 256 images), a level's length is summed a block of choices at a time,
+and the previous level is dropped before the next is allocated.  Windows are
+encoded and counted a block at a time, and the partial counts are merged as
+they come.  A report's peak is about the final word (two bytes a letter)
+plus the previous level's choices plus one block of temporaries.
 """
 
 from __future__ import annotations
@@ -83,6 +91,7 @@ def _expand_levels(
     mask = np.arange(width) < lengths[:, None]
     table[mask] = np.fromiter(map(ord, "".join(images)), dtype=np.uint16)
     packed, packed_mask = table.view(f"V{2 * width}")[:, 0], mask.view(f"V{width}")[:, 0]
+    choice = np.min_scalar_type(len(images) - 1)  # the smallest unsigned dtype for every image id
     first = np.cumsum([0] + [rule.arity for rule in sub.rules[:-1]], dtype=np.intp)
     cum = np.full((sub.n_letters, max(rule.arity for rule in sub.rules)), 1.0)
     for a, rule in enumerate(sub.rules):
@@ -92,28 +101,31 @@ def _expand_levels(
     for depth in range(k):
         # Inverse CDF a block at a time: the image id is the letter's first id
         # plus its count of thresholds <= v, that is, of cum <= u = v * 2^-53.
-        chosen = np.empty(len(word), dtype=np.intp)
+        chosen, total = np.empty(len(word), dtype=choice), 0
         for start in range(0, len(word), _BLOCK):
             letters = word[start : start + _BLOCK].astype(np.intp)
             counters = np.arange(start + 1, start + len(letters) + 1, dtype=np.uint64)
             v = _draws(seed, depth, counters)
-            block = np.take(first, letters, out=chosen[start : start + _BLOCK])
+            block = first[letters]
             for column in thresholds[:, :-1].T:
                 block += column[letters] <= v
-        total = int(np.bincount(chosen, minlength=len(images)) @ lengths)
+            total += int(lengths.take(block).sum())
+            chosen[start : start + _BLOCK] = block
         if total > budget:
             raise BudgetExceededError(
                 f"sample of letter {sub.alphabet.letters[letter]}: {total} letters "
                 f"at level {depth + 1} of {k}",
                 budget,
             )
-        # Gathered a block of rows at a time, so that padding holds at most _BLOCK letters.
+        # Only the choices are read from here on.  Rows are gathered a block
+        # at a time, so that padding holds at most _BLOCK letters.
+        del word
         word, end, step = np.empty(total, dtype=np.uint16), 0, max(1, _BLOCK // width)
         for start in range(0, len(chosen), step):
             rows = chosen[start : start + step]
-            part = packed[rows].view(np.uint16)
+            part = packed.take(rows).view(np.uint16)
             if total < len(chosen) * width:
-                part = part[packed_mask[rows].view(bool)]
+                part = part[packed_mask.take(rows).view(bool)]
             word[end : end + len(part)] = part
             end += len(part)
     return word
@@ -128,12 +140,37 @@ def sample_realisation(
     return arr.astype("<u4").tobytes().decode("utf-32-le")
 
 
+def _merge_counts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct codes of (codes, counts) parts, with their summed counts."""
+    codes = np.concatenate([c for c, _ in parts])
+    counts = np.concatenate([n for _, n in parts])
+    order = np.argsort(codes)
+    codes, counts = codes[order], counts[order]
+    first = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    return codes[first], np.add.reduceat(counts, first)
+
+
 def _window_counts(arr: np.ndarray, ell: int, n_letters: int) -> dict[Word, int]:
-    """Counts of the length-ell windows of an array of letters < n_letters."""
+    """Counts of the length-ell windows of an array of letters < n_letters.
+
+    The windows are encoded and counted _BLOCK at a time, each block's
+    letters overlapping the previous block's by ell - 1.  Partial counts wait
+    until they hold as many codes as the merged counts, then are merged into
+    them: a merge costs at most about twice the codes waiting, and live
+    memory stays within a few times the distinct windows plus a block."""
     base = code_base(n_letters)
+    dtype = code_dtype(base, ell)
     windows = np.lib.stride_tricks.sliding_window_view(arr, ell)
-    codes = encode_rows(windows, base, code_dtype(base, ell))
-    values, counts = np.unique(codes, return_counts=True)
+    parts, waiting = [(np.empty(0, dtype=dtype), np.empty(0, dtype=np.intp))], 0
+    for start in range(0, len(windows), _BLOCK):
+        codes = encode_rows(windows[start : start + _BLOCK], base, dtype)
+        parts.append(np.unique(codes, return_counts=True))
+        waiting += len(parts[-1][0])
+        if waiting >= len(parts[0][0]):
+            parts, waiting = [_merge_counts(parts)], 0
+    values, counts = _merge_counts(parts)
     return dict(zip(decode_codes(values, ell, base), counts.tolist()))
 
 

@@ -12,11 +12,13 @@ import pytest
 
 import randsub as rs
 import randsub.induced
+import randsub.sampler
 from conftest import seed_for_draw
 from randsub.core import _realisation_map, power_realisation_words
+from randsub.language import code_base, code_dtype, decode_codes, encode_rows
 from randsub.matrices import DEFAULT_PF_TOL, PF_ITERATION_CAP, _assemble, _perron_right
 from randsub.matrices import _power_iterate
-from randsub.sampler import _expand_levels, stream_u01
+from randsub.sampler import _expand_levels, _window_counts, stream_u01
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -908,7 +910,9 @@ def scatter_expand_levels(sub, letter, k, seed):
 # (spec, depths): mixed arities with non-dyadic probabilities, a
 # zero-probability image whose expected matrix is periodic, longest images of
 # 3, 5 and 9 letters (packed rows of 8, 16 and 32 bytes, compressed by their
-# masks), and images all of 4 letters (no mask) or all of 3 (padded to 4).
+# masks), images all of 4 letters (no mask) or all of 3 (padded to 4), and a
+# rare 500-letter image beside 1-letter ones (packed rows of 512 letters,
+# nearly all padding).  Seed 1 takes that image first at depth 6, from a.
 HAND_SAMPLER_SPECS = (
     (
         "alphabet: a b c\nrule a -> ab:0.3 | c:0.1 | bca:0.6\nrule b -> a:1/3 | cc:2/3\n"
@@ -929,6 +933,7 @@ HAND_SAMPLER_SPECS = (
         (1, 3, 6),
     ),
     ("alphabet: a b\nrule a -> aba:0.4 | bba:0.6\nrule b -> aab:1\n", (1, 4, 8)),
+    (f"alphabet: a b\nrule a -> a:0.99 | {'ab' * 250}:0.01\nrule b -> b:1\n", (1, 6, 9)),
 )
 SAMPLER_SEEDS = (0, 1, -3, 2**64 + 5)
 
@@ -993,3 +998,92 @@ class TestSamplerOracle:
                         image = rule.images[int(np.count_nonzero(cum <= v * 2.0**-53))]
                         got = _expand_levels(sub, letter, 1, seed_for_draw(v))
                         assert got.tolist() == list(map(ord, image)), (rule, c, v)
+
+
+def whole_array_window_counts(arr, ell, n_letters):
+    """Reference: every window encoded into one code array and counted by
+    one ``np.unique``, as the sampler counted before it went a block at a time."""
+    base = code_base(n_letters)
+    windows = np.lib.stride_tricks.sliding_window_view(arr, ell)
+    codes = encode_rows(windows, base, code_dtype(base, ell))
+    values, counts = np.unique(codes, return_counts=True)
+    return dict(zip(decode_codes(values, ell, base), counts.tolist()))
+
+
+def assert_window_counts_agree(arr, ell, n_letters):
+    got = _window_counts(arr, ell, n_letters)
+    want = whole_array_window_counts(arr, ell, n_letters)
+    assert got == want, (len(arr), ell)
+    assert list(got) == list(want), (len(arr), ell)
+
+
+class TestBlockwiseWindowCounts:
+    """The blockwise window counter against the whole-array one, with blocks
+    small enough that every edge is crossed."""
+
+    @pytest.fixture(params=(5, 64))
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(randsub.sampler, "_BLOCK", request.param)
+        return request.param
+
+    def test_window_counts_around_block_multiples(self, block):
+        rng = np.random.default_rng(11)
+        for ell in (1, 2, 4):
+            for k in (1, 2, 7):
+                for windows in (k * block - 1, k * block, k * block + 1):
+                    arr = rng.integers(0, 3, windows + ell - 1).astype(np.uint16)
+                    assert_window_counts_agree(arr, ell, 3)
+
+    def test_ell_longer_than_the_block(self, block):
+        rng = np.random.default_rng(12)
+        for ell in (block + 1, 2 * block + 3):
+            for size in (ell, ell + 1, ell + block, 3 * block + ell):
+                assert_window_counts_agree(rng.integers(0, 2, size).astype(np.uint16), ell, 2)
+
+    def test_one_window(self, block):
+        rng = np.random.default_rng(13)
+        for ell in (1, 2, block - 1, block, block + 1):
+            assert_window_counts_agree(rng.integers(0, 3, ell).astype(np.uint16), ell, 3)
+
+    def test_waiting_partials_are_merged(self, block, monkeypatch):
+        # Nearly every window of a random 4-letter array is distinct at ell 10,
+        # so partial counts wait for several blocks between merges, and the
+        # merges still come often enough to bound the waiting codes.
+        merges = []
+        merge = randsub.sampler._merge_counts
+
+        def counted(parts):
+            merges.append(len(parts))
+            return merge(parts)
+
+        monkeypatch.setattr(randsub.sampler, "_merge_counts", counted)
+        arr = np.random.default_rng(14).integers(0, 4, 40 * block + 9).astype(np.uint16)
+        assert_window_counts_agree(arr, 10, 4)
+        assert max(merges) > 2
+        assert 2 < len(merges) < 40 // 2
+
+    def test_python_int_codes(self, block):
+        # Binary codes leave int64 at ell 62.
+        assert code_dtype(2, 61) is np.int64 and code_dtype(2, 62) is object
+        rng = np.random.default_rng(15)
+        for ell in (62, 63):
+            for size in (ell, ell + 2 * block, ell + 5 * block + 1):
+                assert_window_counts_agree(rng.integers(0, 2, size).astype(np.uint16), ell, 2)
+            periodic = np.resize(np.array([0, 1, 1], dtype=np.uint16), ell + 7 * block)
+            assert_window_counts_agree(periodic, ell, 2)
+
+    def test_pool_samples(self, pool, block):
+        for i, sub in enumerate(pool):
+            arr = _expand_levels(sub, 0, 5, i)
+            for ell in (1, 3):
+                if len(arr) >= ell:
+                    assert_window_counts_agree(arr, ell, sub.n_letters)
+
+    def test_hand_spec_samples(self, block):
+        for text, depths in HAND_SAMPLER_SPECS:
+            sub = rs.parse_spec(text)
+            for letter in range(sub.n_letters):
+                arr = _expand_levels(sub, letter, depths[1], 1)
+                for ell in (1, 2, 5):
+                    if len(arr) >= ell:
+                        assert_window_counts_agree(arr, ell, sub.n_letters)

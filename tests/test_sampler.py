@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,23 @@ class TestFrequencyReport:
         fib = rs.get_example("random-fibonacci")
         with pytest.raises(rs.BudgetExceededError, match="closure to length 4"):
             rs.frequency_report(fib, 4, 10, 0, budget=10)
+
+    def test_traced_peak_per_sampled_letter(self):
+        # tracemalloc sees numpy's buffers.  The peak is about the final word
+        # (two bytes a letter), the previous level's one-byte choices and a
+        # block of temporaries.  Whole-level intp choices and one int64 code
+        # per window would read 20 bytes a letter.
+        pd = rs.get_example("period-doubling")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = rs.frequency_report(pd, 4, 20, 2024)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.sample_length == 2**20
+        assert peak <= 8 * report.sample_length
 
     def test_deviation_shrinks_to_threshold_for_deterministic(self):
         det = rs.parse_spec("alphabet: a b\nrule a -> ab:1\nrule b -> a:1\n")
