@@ -399,9 +399,17 @@ def _realisation_map(
 ) -> dict[Word, float]:
     """Distinct realisations of the image of ``word`` with aggregated
     probabilities, keyed in lexicographic order of per-letter choices.
-    ``keep`` cuts each partial to its first ``keep`` letters as it grows.
-    ``weights``, one sequence per letter, replaces the rules' probabilities."""
+    ``weights``, one sequence per letter, replaces the rules' probabilities.
+
+    ``keep`` cuts each partial to its first ``keep`` letters as it grows, and
+    the expansion stops once the shortest images of the letters expanded so far
+    reach ``keep`` letters: every partial is then full, so each later letter
+    would rebuild the same keys in the same order, with the same count against
+    the budget, times a probability sum that is 1 in exact arithmetic.  The
+    summed probabilities can therefore differ by a few ulps from those of the
+    full expansion."""
     partial: dict[Word, float] = {"": 1.0}
+    reach = 0  # the length every partial has reached, before the cut
     for position, c in enumerate(word, start=1):
         rule = sub.rules[ord(c)]
         probabilities = rule.probabilities if weights is None else weights[ord(c)]
@@ -413,6 +421,10 @@ def _realisation_map(
         if len(grown) > budget:
             raise _image_budget_error(word, position, len(grown), budget)
         partial = grown
+        if keep is not None:
+            reach += min(map(len, rule.images))
+            if reach >= keep:
+                break
     return partial
 
 

@@ -57,7 +57,15 @@ class NotPrimitiveError(RandsubError):
 
 
 class NoConvergenceError(RandsubError):
-    """Power iteration failed to converge within the iteration cap."""
+    """Power iteration failed to converge within the iteration cap.
+
+    ``point`` is the index, within a stack of matrices iterated together,
+    of the first one that failed, when the raiser knows it.
+    """
+
+    def __init__(self, message: str, point: int | None = None):
+        self.point = point
+        super().__init__(message)
 
 
 class DegenerateRuleError(RandsubError):

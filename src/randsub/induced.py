@@ -16,7 +16,7 @@ agreement at finite depth proves nothing and is reported as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterator
 
 import numpy as np
@@ -31,12 +31,16 @@ from .core import (
     letter_counts,
     with_probabilities,
 )
-from .errors import EmptySubshiftError, NotPrimitiveError
+from .errors import EmptySubshiftError, NoConvergenceError, NotPrimitiveError
 from .language import LanguageTable, legal_words
-from .matrices import DEFAULT_PF_TOL, _assemble, _perron_right, _strong_period, _successors
-from .matrices import is_primitive, substitution_matrix
+from .matrices import DEFAULT_PF_TOL, _assemble, _perron_right, _perron_stack, _strong_period
+from .matrices import _successors, is_primitive, substitution_matrix
 
 DEFAULT_SCAN_TOL = 1e-6
+# Matrix entries iterated together.  Stacking saves interpreter steps, not memory:
+# one stacked power iteration holds at most this many float64s (512 KiB), or one
+# matrix when a matrix is larger.
+_STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,10 @@ class FrequencyVector:
 def _perron_rights(
     sub: RandomSubstitution, ell: int, images: Iterator[dict], degenerate: bool, tol: float
 ) -> Iterator[np.ndarray]:
-    """Each point's right Perron vector; primitivity is decided once, on the support."""
+    """Each point's right Perron vector; primitivity is decided once, on the support.
+    The points' matrices are iterated in stacks of at most ``_STACK_ENTRIES`` entries
+    (one matrix, never copied, when it is larger); a ``NoConvergenceError`` names in
+    ``point`` the index of the first point that failed."""
     columns, weights = [], []  # per window its images' letters; per letter its image's weight
     for merged in images:
         columns.append("".join(merged))
@@ -152,8 +159,18 @@ def _perron_rights(
         raise EmptySubshiftError(
             "empty subshift: all images have length 1, no legal words beyond letters"
         )
-    for m in _assemble(columns, weights):
-        yield _perron_right(m, degenerate, tol=tol)
+    n = len(columns)
+    matrices = _assemble(columns, weights)
+    start = 0
+    while stack := list(islice(matrices, max(1, _STACK_ENTRIES // n**2))):
+        ms = stack[0][None] if len(stack) == 1 else np.stack(stack)
+        del stack  # stacked copies of its matrices are all that is needed
+        try:
+            rights = _perron_stack(ms, degenerate, tol)
+        except NoConvergenceError as exc:
+            raise NoConvergenceError(str(exc), start + exc.point) from None
+        yield from rights
+        start += len(rights)
 
 
 def word_frequencies(
@@ -251,7 +268,11 @@ def unique_ergodicity_scan(
     for ell in range(1, ell_max + 1):
         words = _windows(sub, ell, table, budget)
         images = _induced_images(sub, ell, words, weights, budget)
-        values = np.array(list(_perron_rights(sub, ell, images, False, DEFAULT_PF_TOL)))
+        try:
+            values = np.array(list(_perron_rights(sub, ell, images, False, DEFAULT_PF_TOL)))
+        except NoConvergenceError as exc:
+            where = f"{exc} (ell {ell}, grid point {exc.point})"
+            raise NoConvergenceError(where, exc.point) from None
         low_values, high_values = values.min(axis=0), values.max(axis=0)
         ratios = np.where(
             high_values - low_values > tol,

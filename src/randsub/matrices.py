@@ -10,6 +10,14 @@ edge j -> i when letter i occurs in an image of j; irreducibility is
 strong connectivity of that graph, and primitivity is strong connectivity
 with period 1.  Two breadth-first walks decide both in time linear in the
 number of edges, so no matrix power is ever formed.
+
+Perron-Frobenius vectors come from one power iteration over a stack of
+equal-size matrices, one per probability assignment: each step takes one
+stacked product ``np.matmul(ms, x[:, :, None])`` for every point not yet
+converged, which is the same BLAS matrix-vector product per matrix as
+``m @ x``, so each point's result is bit for bit that of iterating its
+matrix alone.  A single matrix is iterated as the view ``m[None]`` and is
+never copied.
 """
 
 from __future__ import annotations
@@ -150,29 +158,50 @@ class PerronData:
     iterations: int
 
 
-def _power_iterate(m: np.ndarray, tol: float, cap: int) -> tuple[float, np.ndarray, int, float]:
-    """(lam, x summing to 1, steps, max|M x - lam x|) by power iteration from the uniform
-    vector; the product that tests a step's convergence is the next step's product."""
+def _power_iterates(
+    ms: np.ndarray, tol: float, cap: int
+) -> list[tuple[float, np.ndarray, int, float]]:
+    """Per matrix of the stack ``ms`` (P, n, n), (lam, x summing to 1, steps,
+    max|M x - lam x|) by power iteration from the uniform vector; the product that
+    tests a step's convergence is the next step's product.  Each step takes one
+    stacked product for every live point, and a point leaves the stack at the step
+    where it converges; the stack is compacted only then, so a one-matrix stack is
+    never copied.  A ``NoConvergenceError`` names in ``point`` the stack index of
+    the first point that collapsed or did not converge."""
     if not 0.0 < tol < np.inf:  # tol <= 0 never converges, and NaN or inf proves nothing
         raise ValueError(f"Perron-Frobenius tolerance must be positive and finite, got {tol!r}")
-    n = m.shape[0]
-    x = np.full(n, 1.0 / n)
-    y = m @ x
+    p, n = ms.shape[:2]
+    results: list = [None] * p
+    live = np.arange(p)
+    x = np.full((p, n), 1.0 / n)
+    y = np.matmul(ms, x[:, :, None])[:, :, 0]
     # Converge a little past tol so downstream identities hold at tol.
     target = tol / 8.0
     for it in range(1, cap + 1):
-        total = y.sum()
-        if total <= 0.0:
-            raise NoConvergenceError("power iteration collapsed to the zero vector")
-        y /= total
-        delta = np.abs(y - x).max()
+        total = y.sum(axis=1)
+        if (total <= 0.0).any():
+            point = int(live[(total <= 0.0).argmax()])
+            raise NoConvergenceError("power iteration collapsed to the zero vector", point)
+        y /= total[:, None]
+        delta = np.abs(y - x).max(axis=1)
         x = y
-        y = m @ x
-        lam = y.sum()
-        residual = np.abs(y - lam * x).max()
-        if delta < target and residual <= tol * max(1.0, lam) / 2.0:
-            return lam, x, it, residual
-    raise NoConvergenceError(f"power iteration did not converge in {cap} steps")
+        y = np.matmul(ms, x[:, :, None])[:, :, 0]
+        lam = y.sum(axis=1)
+        residual = np.abs(y - lam[:, None] * x).max(axis=1)
+        done = (delta < target) & (residual <= tol * np.maximum(1.0, lam) / 2.0)
+        if done.any():
+            for k in np.flatnonzero(done).tolist():
+                results[live[k]] = (lam[k], x[k], it, residual[k])
+            if done.all():
+                return results
+            keep = ~done
+            live, ms, x, y = live[keep], ms[keep], x[keep], y[keep]
+    raise NoConvergenceError(f"power iteration did not converge in {cap} steps", int(live[0]))
+
+
+def _power_iterate(m: np.ndarray, tol: float, cap: int) -> tuple[float, np.ndarray, int, float]:
+    """``_power_iterates`` on the one-matrix stack ``m[None]``, a view of ``m``."""
+    return _power_iterates(m[None], tol, cap)[0]
 
 
 def perron_data(m: np.ndarray, tol: float = DEFAULT_PF_TOL) -> PerronData:
@@ -191,13 +220,17 @@ def perron_data(m: np.ndarray, tol: float = DEFAULT_PF_TOL) -> PerronData:
     return PerronData(float(lam), right, left, float(residual), it_r + it_l)
 
 
-def _perron_right(m: np.ndarray, degenerate: bool, tol: float = DEFAULT_PF_TOL) -> np.ndarray:
-    """Right Perron vector of the expected matrix of a substitution whose
-    support is primitive.  With images of probability zero (``degenerate``)
-    that matrix can be irreducible but periodic, where power iteration
-    oscillates forever; M + I has the same Perron vector and is aperiodic,
-    so it is iterated instead.  Only the right vector is iterated."""
-    m = np.asarray(m, dtype=float)
+def _perron_stack(ms: np.ndarray, degenerate: bool, tol: float = DEFAULT_PF_TOL) -> list:
+    """Right Perron vector of each expected matrix in the stack ``ms`` (P, n, n),
+    for substitutions whose support is primitive.  With images of probability zero
+    (``degenerate``) a matrix can be irreducible but periodic, where power iteration
+    oscillates forever; M + I has the same Perron vector and is aperiodic, so it is
+    iterated instead.  Only the right vectors are iterated."""
     if degenerate:
-        m = m + np.eye(m.shape[0])
-    return _power_iterate(m, tol, PF_ITERATION_CAP)[1]
+        ms = ms + np.eye(ms.shape[1])
+    return [x for _, x, _, _ in _power_iterates(ms, tol, PF_ITERATION_CAP)]
+
+
+def _perron_right(m: np.ndarray, degenerate: bool, tol: float = DEFAULT_PF_TOL) -> np.ndarray:
+    """``_perron_stack`` of the one matrix ``m``."""
+    return _perron_stack(np.asarray(m, dtype=float)[None], degenerate, tol)[0]

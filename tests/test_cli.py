@@ -3,6 +3,7 @@ import math
 import pytest
 
 import randsub as rs
+import randsub.matrices
 from randsub import cli
 from randsub.cli import main
 
@@ -258,6 +259,19 @@ class TestOutputs:
         )
         assert "verdict,not-uniquely-ergodic" in out
         assert "witness_word,bb" in out
+
+    def test_ergodicity_non_convergence_names_its_place(self, capsys, tmp_path, monkeypatch):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("a:0.5,0.5 b:1\na:0.3,0.7 b:1\na:0.12,0.88 b:1\na:0.7,0.3 b:1\n")
+        monkeypatch.setattr(randsub.matrices, "PF_ITERATION_CAP", 32)
+        code, out, err = run_cli(
+            capsys, "ergodicity", "--example", "random-fibonacci",
+            "--grid", str(grid), "--lmax", "4",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: power iteration did not converge in 32 steps (ell 4, grid point 3)\n"
+        )
 
     def test_ergodicity_warns_on_degenerate_point(self, capsys, tmp_path):
         grid = tmp_path / "grid.txt"

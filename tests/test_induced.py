@@ -1,9 +1,13 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import randsub as rs
+import randsub.induced
+import randsub.matrices
 
 TAU = (1 + math.sqrt(5)) / 2
 
@@ -258,6 +262,26 @@ class TestErgodicityScan:
         with pytest.raises(ValueError, match="ell_max must be at least 1"):
             rs.unique_ergodicity_scan(fib, 0, [{"a": (0.5, 0.5)}, {"a": (0.9, 0.1)}])
 
+    @pytest.mark.parametrize("one_point_stacks", [False, True])
+    def test_non_convergence_names_window_length_and_point(self, monkeypatch, one_point_stacks):
+        # Letter counts do not depend on p, so every point's ell-1 matrix is
+        # the same; at ell 4 the last point is the slowest, and alone past 30 steps.
+        if one_point_stacks:
+            monkeypatch.setattr(randsub.induced, "_STACK_ENTRIES", 1)
+        fib = rs.get_example("random-fibonacci")
+        grid = [{"a": (p, 1 - p)} for p in (0.5, 0.3, 0.12, 0.7)]
+        monkeypatch.setattr(randsub.matrices, "PF_ITERATION_CAP", 32)
+        with pytest.raises(rs.NoConvergenceError) as caught:
+            rs.unique_ergodicity_scan(fib, 4, grid)
+        assert str(caught.value) == (
+            "power iteration did not converge in 32 steps (ell 4, grid point 3)"
+        )
+        monkeypatch.setattr(randsub.matrices, "PF_ITERATION_CAP", 30)
+        with pytest.raises(rs.NoConvergenceError, match=r"30 steps \(ell 1, grid point 0\)$"):
+            rs.unique_ergodicity_scan(fib, 4, grid)
+        monkeypatch.setattr(randsub.matrices, "PF_ITERATION_CAP", 34)
+        assert rs.unique_ergodicity_scan(fib, 4, grid).not_uniquely_ergodic
+
 
 class TestRatioCondition:
     def test_fibonacci_holds_vacuously(self):
@@ -286,3 +310,43 @@ class TestRatioCondition:
         (violation,) = report.violations
         assert (violation.letter, violation.image_pair, violation.letter_pair) == (0, (0, 1), (0, 1))
         assert violation.residual == pytest.approx(2**0.5, abs=1e-9)
+
+
+def perfbench_grid(seed):
+    """The 16-point stratified random Fibonacci grid of perfbench's
+    ``frequencies`` workload: a:p,1-p with one p from each of 0.10-0.14,
+    0.15-0.19, ..., 0.85-0.89."""
+    rng = random.Random(seed)
+    percents = [10 + 5 * i + rng.randrange(5) for i in range(16)]
+    return [{"a": (k / 100, (100 - k) / 100), "b": (1.0,)} for k in percents]
+
+
+def traced_peak(run):
+    """Bytes traced by tracemalloc (numpy's buffers included) at the peak of
+    ``run()``, above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestTracedPeaks:
+    """The power iteration stacks grid points to save interpreter steps, not
+    memory: the scan's stacks are capped, and one point is never copied."""
+
+    def test_scan_stacks_stay_small(self):
+        # 10.4 MiB with one matrix at a time; 81 MiB with every point of a
+        # window length in one stack.
+        fib = rs.get_example("random-fibonacci")
+        peak = traced_peak(lambda: rs.unique_ergodicity_scan(fib, 11, perfbench_grid(0)))
+        assert peak <= 12 * 2**20
+
+    def test_one_point_holds_one_matrix(self):
+        # 3.08 MiB with the one matrix iterated in place; 4.55 MiB with a copy.
+        fib = rs.get_example("random-fibonacci")
+        peak = traced_peak(lambda: rs.word_frequencies(fib, 11))
+        assert peak <= 3.5 * 2**20

@@ -14,10 +14,10 @@ import randsub as rs
 import randsub.induced
 import randsub.sampler
 from conftest import seed_for_draw
-from randsub.core import _realisation_map, power_realisation_words
+from randsub.core import _image_budget_error, _realisation_map, power_realisation_words
 from randsub.language import code_base, code_dtype, decode_codes, encode_rows
 from randsub.matrices import DEFAULT_PF_TOL, PF_ITERATION_CAP, _assemble, _perron_right
-from randsub.matrices import _power_iterate
+from randsub.matrices import _perron_stack, _power_iterate, _power_iterates
 from randsub.sampler import _expand_levels, _window_counts, stream_u01
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -500,6 +500,100 @@ class TestInducedTailMaps:
         assert set(calls) == {w[1:] for w in ind.words}
 
 
+def full_realisation_map(sub, word, budget, keep=None, weights=None):
+    """Reference: ``_realisation_map`` as it was before tails stopped once
+    full, expanding every letter of ``word``."""
+    partial = {"": 1.0}
+    for position, c in enumerate(word, start=1):
+        rule = sub.rules[ord(c)]
+        probabilities = rule.probabilities if weights is None else weights[ord(c)]
+        grown = {}
+        for prefix, acc in partial.items():
+            for image, p in zip(rule.images, probabilities):
+                joined = (prefix + image)[:keep]
+                grown[joined] = grown.get(joined, 0.0) + acc * p
+        if len(grown) > budget:
+            raise _image_budget_error(word, position, len(grown), budget)
+        partial = grown
+    return partial
+
+
+def realisation_map_outcome(realisation_map, *args):
+    """The map, or the text of its budget error."""
+    try:
+        return realisation_map(*args)
+    except rs.BudgetExceededError as exc:
+        return str(exc)
+
+
+def assert_early_stop_matches(sub, words, weights=None):
+    """Same keys in the same order, and sums within a few ulps, at every
+    ``keep`` from 1 to 8; returns how many maps stopped before the last letter."""
+    stopped = 0
+    shortest = [min(map(len, rule.images)) for rule in sub.rules]
+    for word in words:
+        for keep in range(1, 9):
+            got = _realisation_map(sub, word, 10**8, keep, weights)
+            want = full_realisation_map(sub, word, 10**8, keep, weights)
+            assert list(got) == list(want), (rs.serialize(sub), word, keep)
+            np.testing.assert_allclose(
+                np.array(list(got.values())), np.array(list(want.values())), rtol=1e-14, atol=0
+            )
+            stopped += sum(shortest[ord(c)] for c in word[:-1]) >= keep
+    return stopped
+
+
+def seeded_words(sub, rng, max_length=9, per_length=4):
+    return [
+        "".join(chr(rng.randrange(sub.n_letters)) for _ in range(length))
+        for length in range(1, max_length + 1)
+        for _ in range(per_length)
+    ]
+
+
+class TestTailEarlyStop:
+    """Cut tail maps stop once every partial is full; the expansion of every
+    letter is the reference."""
+
+    def test_pool(self, pool):
+        rng = random.Random(0x7A11)
+        stopped = 0
+        for sub in pool:
+            words = seeded_words(sub, rng, per_length=2)
+            stopped += assert_early_stop_matches(non_dyadic(sub, rng), words)
+        assert stopped > 1000
+
+    def test_registry(self, registry):
+        rng = random.Random(0x7A12)
+        stopped = 0
+        for sub in registry:
+            words = seeded_words(sub, rng)
+            stopped += assert_early_stop_matches(non_dyadic(sub, rng), words)
+            # the scan's weights: one row per image, one column per grid point
+            points = [non_dyadic(sub, rng) for _ in range(3)]
+            by_letter = zip(*[[rule.probabilities for rule in p.rules] for p in points])
+            weights = [np.array(probabilities).T for probabilities in by_letter]
+            stopped += assert_early_stop_matches(sub, words, weights)
+        assert stopped > 100
+
+    def test_budget_errors_match(self, pool, registry):
+        rng = random.Random(0x7A13)
+        raised = 0
+        for sub in [*pool[:30], *registry]:
+            for word in seeded_words(sub, rng, per_length=1):
+                for keep in (1, 2, 3, 5, 8):
+                    for budget in (1, 2, 3, 5, 8):
+                        args = (sub, word, budget, keep)
+                        got = realisation_map_outcome(_realisation_map, *args)
+                        want = realisation_map_outcome(full_realisation_map, *args)
+                        if isinstance(want, str):
+                            assert got == want, (rs.serialize(sub), word, keep, budget)
+                            raised += 1
+                        else:
+                            assert list(got) == list(want), (rs.serialize(sub), word, keep)
+        assert raised > 100
+
+
 def loop_witness(sub, ell_max, grid, tol=1e-6):
     """Reference: the scan's witness picked word by word, keeping the
     first (ell, word) of the largest high/low ratio among the entries
@@ -829,6 +923,117 @@ class TestOneProductPerStep:
             assert np.array_equal(pf.right, ref.right) and np.array_equal(pf.left, ref.left)
             checked += 1
         assert checked == len(matrix_subs) - 1  # all but the degenerate one
+
+
+@pytest.fixture(scope="module")
+def induced_stacks(registry):
+    """Per non-empty registry example and ell <= 5, its induced matrices at
+    four seeded non-dyadic grid points, stacked; only primitive stacks."""
+    rng = random.Random(0x57AC)
+    stacks = []
+    for sub in registry:
+        if rs.is_empty_subshift(sub):
+            continue
+        table = rs.legal_words(sub, 5)
+        for ell in range(1, 6):
+            points = [non_dyadic(sub, rng) for _ in range(4)]
+            ms = np.stack(
+                [rs.induced_matrix(rs.induced_substitution(p, ell, table=table)) for p in points]
+            )
+            if rs.is_primitive_matrix(ms[0]):
+                stacks.append(ms)
+    return stacks
+
+
+def assert_stack_matches_points(ms, tol, cap=PF_ITERATION_CAP):
+    """``_power_iterates`` on the stack against the per-point iterations;
+    returns each point's step count."""
+    results = _power_iterates(ms, tol, cap)
+    assert len(results) == len(ms)
+    for m, (lam, x, steps, residual) in zip(ms, results):
+        for ref_lam, ref_x, ref_steps, ref_residual in (
+            _power_iterate(m, tol, cap),
+            two_product_iterate(m, tol, cap),
+        ):
+            assert (lam, steps, residual) == (ref_lam, ref_steps, ref_residual)
+            assert np.array_equal(x, ref_x)
+    return [steps for _, _, steps, _ in results]
+
+
+class TestStackedPowerIteration:
+    """One stacked product per step for every live point; each point must
+    leave the stack with bit for bit the results of its own iteration."""
+
+    @pytest.mark.parametrize("tol", [1e-6, DEFAULT_PF_TOL])
+    def test_stack_matches_each_point(self, induced_stacks, tol):
+        staggered = 0
+        for ms in induced_stacks:
+            staggered += len(set(assert_stack_matches_points(ms, tol))) > 1
+        assert len(induced_stacks) > 20 and staggered > 5
+
+    @pytest.mark.parametrize("tol", [1e-6, DEFAULT_PF_TOL])
+    def test_degenerate_points_iterate_m_plus_identity(self, tol):
+        fib = rs.get_example("random-fibonacci")
+        points = [{"a": (1.0, 0.0)}, {"a": (0.0, 1.0)}, {"a": (0.3, 0.7)}]
+        table = rs.legal_words(fib, 5)
+        for ell in range(1, 6):
+            probed = [rs.with_probabilities(fib, point) for point in points]
+            ms = np.stack(
+                [rs.induced_matrix(rs.induced_substitution(p, ell, table=table)) for p in probed]
+            )
+            shifted = ms + np.eye(ms.shape[1])
+            assert_stack_matches_points(shifted, tol)
+            for m, right, shifted_m in zip(ms, _perron_stack(ms, True, tol), shifted):
+                reference = two_product_iterate(shifted_m, tol, PF_ITERATION_CAP)[1]
+                assert np.array_equal(right, reference)
+                assert np.array_equal(right, _perron_right(m, True, tol))
+
+    @pytest.mark.parametrize("tol", [1e-6, DEFAULT_PF_TOL])
+    def test_cap_names_the_first_unconverged_point(self, induced_stacks, tol):
+        checked = 0
+        for ms in induced_stacks:
+            steps = [two_product_iterate(m, tol, PF_ITERATION_CAP)[2] for m in ms]
+            for cap in {1, min(steps), max(steps) - 1} - {0}:
+                if cap >= max(steps):
+                    continue
+                first = next(k for k, s in enumerate(steps) if s > cap)
+                with pytest.raises(rs.NoConvergenceError) as stacked:
+                    _power_iterates(ms, tol, cap)
+                with pytest.raises(rs.NoConvergenceError) as single:
+                    two_product_iterate(ms[first], tol, cap)
+                assert str(stacked.value) == str(single.value)
+                assert stacked.value.point == first
+                checked += first > 0
+        assert checked > 0
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_scan_in_small_stacks(self, monkeypatch, size):
+        # Seven points: stacks of 1, 2 or 3 points at the longest window,
+        # with a short last stack for 2 and 3.
+        fib = rs.get_example("random-fibonacci")
+        rng = random.Random(0x57AD + size)
+        grid = [seeded_point(fib, rng) for _ in range(7)]
+        ell_max = 5
+        table = rs.legal_words(fib, ell_max)
+        n = len(table.words(ell_max))
+        monkeypatch.setattr(randsub.induced, "_STACK_ENTRIES", size * n * n)
+        shapes = []
+        stack = randsub.induced._perron_stack
+
+        def recorded(ms, *args):
+            shapes.append(ms.shape)
+            return stack(ms, *args)
+
+        monkeypatch.setattr(randsub.induced, "_perron_stack", recorded)
+        seen = scan_vectors(monkeypatch, fib, ell_max, grid)
+        last = [k for k, m, _ in shapes if m == n]
+        assert last == [size] * (7 // size) + [7 % size] * (7 % size > 0)
+        assert all(k <= max(1, size * n * n // (m * m)) for k, m, _ in shapes)
+        for ell, vectors in enumerate(seen, start=1):
+            for point, vector in zip(grid, vectors):
+                probed = rs.with_probabilities(fib, point)
+                values = rs.word_frequencies(probed, ell, table=table).values
+                assert np.array_equal(vector, values), (ell, point)
 
 
 class TestPerronIdentities:
