@@ -2,7 +2,9 @@
 
 Every subcommand reads a substitution from --spec FILE or a bundled
 --example NAME and yields deterministic CSV-style lines (comma separator,
-'.' decimal point, LF endings, header rows); ``main`` writes them once.
+'.' decimal point, LF endings, header rows); ``main`` loads it and writes them
+once.  All but info and matrix take --budget; matrix, freq (solver) and
+ergodicity (scan spread) take --tol; ergodicity alone accepts --threads, a no-op.
 
 Exit codes: 0 success; 1 domain error (empty subshift, not primitive,
 no convergence, ...); 2 usage or spec-format error; 3 budget exhausted.
@@ -31,6 +33,7 @@ from .errors import (
 )
 from .examples import EXAMPLES, example_names, get_example
 from .induced import (
+    DEFAULT_SCAN_TOL,
     induced_matrix,
     induced_substitution,
     unique_ergodicity_scan,
@@ -38,6 +41,7 @@ from .induced import (
 )
 from .language import is_empty_subshift, legal_words
 from .matrices import (
+    DEFAULT_PF_TOL,
     is_irreducible,
     is_primitive,
     perron_data,
@@ -56,7 +60,7 @@ def _load_substitution(args: argparse.Namespace) -> RandomSubstitution:
     else:
         with open(args.spec, "r", encoding="utf-8") as handle:
             sub = parse_spec(handle.read())
-    if getattr(args, "probs", None):
+    if args.probs:
         sub = with_probabilities(sub, _parse_assignment(args.probs))
     return sub
 
@@ -100,8 +104,7 @@ def _matrix_rows(labels: list[str], matrix) -> Iterator[str]:
         yield _row(label, *(format_float(float(x)) for x in row))
 
 
-def _cmd_info(args) -> Iterator[str]:
-    sub = _load_substitution(args)
+def _cmd_info(sub: RandomSubstitution, args) -> Iterator[str]:
     yield _row("field", "value")
     yield _row("letters", " ".join(sub.alphabet.letters))
     yield _row("letter_count", sub.n_letters)
@@ -122,8 +125,7 @@ def _cmd_info(args) -> Iterator[str]:
         yield _row(f"rule_{sub.alphabet.letters[rule.source]}", rhs)
 
 
-def _cmd_language(args) -> Iterator[str]:
-    sub = _load_substitution(args)
+def _cmd_language(sub: RandomSubstitution, args) -> Iterator[str]:
     table = legal_words(sub, args.lmax, budget=args.budget)
     yield _row("length", "count")
     for ell in range(1, args.lmax + 1):
@@ -136,8 +138,7 @@ def _cmd_language(args) -> Iterator[str]:
                 yield _row(ell, sub.alphabet.format_word(word))
 
 
-def _cmd_matrix(args) -> Iterator[str]:
-    sub = _load_substitution(args)
+def _cmd_matrix(sub: RandomSubstitution, args) -> Iterator[str]:
     letters = list(sub.alphabet.letters)
     matrix = substitution_matrix(sub)
     yield from _matrix_rows(letters, matrix)
@@ -151,24 +152,21 @@ def _cmd_matrix(args) -> Iterator[str]:
     yield _row("residual", format_float(pf.residual))
 
 
-def _cmd_induced(args) -> Iterator[str]:
-    sub = _load_substitution(args)
+def _cmd_induced(sub: RandomSubstitution, args) -> Iterator[str]:
     ind = induced_substitution(sub, args.ell, budget=args.budget)
     yield serialize(ind.sub).rstrip("\n")
     yield ""
     yield from _matrix_rows(list(ind.sub.alphabet.letters), induced_matrix(ind))
 
 
-def _cmd_freq(args) -> Iterator[str]:
-    sub = _load_substitution(args)
+def _cmd_freq(sub: RandomSubstitution, args) -> Iterator[str]:
     freq = word_frequencies(sub, args.ell, tol=args.tol, budget=args.budget)
     yield _row("word", "frequency")
     for word, value in zip(freq.words, freq.values):
         yield _row(sub.alphabet.format_word(word), format_float(value))
 
 
-def _cmd_ergodicity(args) -> Iterator[str]:
-    sub = _load_substitution(args)
+def _cmd_ergodicity(sub: RandomSubstitution, args) -> Iterator[str]:
     grid: list[dict[str, tuple[float, ...]]] = []
     skipped = 0
     with open(args.grid, "r", encoding="utf-8") as handle:
@@ -204,8 +202,7 @@ def _cmd_ergodicity(args) -> Iterator[str]:
         yield _row("witness_high_value", format_float(w.high_value))
 
 
-def _cmd_entropy(args) -> Iterator[str]:
-    sub = _load_substitution(args)
+def _cmd_entropy(sub: RandomSubstitution, args) -> Iterator[str]:
     exact = exact_note = None
     if args.example is not None:
         spec = EXAMPLES[args.example]
@@ -237,16 +234,14 @@ def _cmd_entropy(args) -> Iterator[str]:
         yield _row("exact_note", bracket.exact_note or "")
 
 
-def _cmd_periodic(args) -> Iterator[str]:
-    sub = _load_substitution(args)
+def _cmd_periodic(sub: RandomSubstitution, args) -> Iterator[str]:
     census = periodic_census(sub, args.nmax, args.horizon, budget=args.budget)
     yield _row("n", "count")
     for n in range(1, args.nmax + 1):
         yield _row(n, census.counts[n])
 
 
-def _cmd_zeta(args) -> Iterator[str]:
-    sub = _load_substitution(args)
+def _cmd_zeta(sub: RandomSubstitution, args) -> Iterator[str]:
     census = periodic_census(sub, args.nmax, args.horizon, budget=args.budget)
     series = zeta_series(census, args.nmax)
     yield _row("degree", "coefficient")
@@ -254,8 +249,7 @@ def _cmd_zeta(args) -> Iterator[str]:
         yield _row(degree, format_float(coeff))
 
 
-def _cmd_mixing(args) -> Iterator[str]:
-    sub = _load_substitution(args)
+def _cmd_mixing(sub: RandomSubstitution, args) -> Iterator[str]:
     u = sub.alphabet.word(args.u)
     v = sub.alphabet.word(args.v)
     gaps = mixing_gaps(sub, u, v, args.nmax, budget=args.budget)
@@ -264,8 +258,7 @@ def _cmd_mixing(args) -> Iterator[str]:
         yield _row(gap)
 
 
-def _cmd_sample(args) -> Iterator[str]:
-    sub = _load_substitution(args)
+def _cmd_sample(sub: RandomSubstitution, args) -> Iterator[str]:
     report = frequency_report(
         sub, args.ell, args.depth, args.seed, start_letter=args.letter, budget=args.budget
     )
@@ -303,65 +296,72 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument(
-        "--budget", type=_positive_int, default=DEFAULT_BUDGET, help="work budget for enumerations"
-    )
-    common.add_argument(
-        "--tol", type=float, default=None, help="tolerance override (context specific)"
-    )
-    common.add_argument(
-        "--threads", type=_positive_int, default=1, help="accepted for compatibility; has no effect"
-    )
-    common.add_argument(
         "--probs",
         help="probability override, e.g. 'a:0.5,0.5 b:1' (fractions allowed)",
     )
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--budget", type=_positive_int, default=DEFAULT_BUDGET, help="work budget for enumerations"
+    )
+    enumerating = [common, budget]
+    # One --tol action for matrix and freq: safe because both read the same default.
+    pf = argparse.ArgumentParser(add_help=False)
+    pf.add_argument("--tol", type=float, default=DEFAULT_PF_TOL, help="power-iteration tolerance")
 
     p = sub.add_parser("info", parents=[common], help="substitution summary and flags")
     p.set_defaults(func=_cmd_info)
 
-    p = sub.add_parser("language", parents=[common], help="legal-word counts per length")
+    p = sub.add_parser("language", parents=enumerating, help="legal-word counts per length")
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--dump-words", action="store_true")
     p.set_defaults(func=_cmd_language)
 
-    p = sub.add_parser("matrix", parents=[common], help="substitution matrix and eigendata")
+    p = sub.add_parser("matrix", parents=[common, pf], help="substitution matrix and eigendata")
     p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("induced", parents=[common], help="induced substitution and matrix")
+    p = sub.add_parser("induced", parents=enumerating, help="induced substitution and matrix")
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=_cmd_induced)
 
-    p = sub.add_parser("freq", parents=[common], help="word frequencies at one window length")
+    p = sub.add_parser(
+        "freq", parents=[*enumerating, pf], help="word frequencies at one window length"
+    )
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=_cmd_freq)
 
-    p = sub.add_parser("ergodicity", parents=[common], help="unique-ergodicity scan over a grid")
+    p = sub.add_parser("ergodicity", parents=enumerating, help="unique-ergodicity scan over a grid")
     p.add_argument("--grid", required=True, help="file with one probability assignment per line")
     p.add_argument("--lmax", type=int, default=2)
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_SCAN_TOL, help="grid spread that counts as variation"
+    )
+    p.add_argument(
+        "--threads", type=_positive_int, default=1, help="accepted for compatibility; has no effect"
+    )
     p.set_defaults(func=_cmd_ergodicity)
 
-    p = sub.add_parser("entropy", parents=[common], help="entropy bracket")
+    p = sub.add_parser("entropy", parents=enumerating, help="entropy bracket")
     p.add_argument("--lmax", type=int, default=8)
     p.add_argument("--kmax", type=int, default=2)
     p.set_defaults(func=_cmd_entropy)
 
-    p = sub.add_parser("periodic", parents=[common], help="periodic-point census")
+    p = sub.add_parser("periodic", parents=enumerating, help="periodic-point census")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(func=_cmd_periodic)
 
-    p = sub.add_parser("zeta", parents=[common], help="truncated zeta series from the census")
+    p = sub.add_parser("zeta", parents=enumerating, help="truncated zeta series from the census")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(func=_cmd_zeta)
 
-    p = sub.add_parser("mixing", parents=[common], help="achievable gaps between two words")
+    p = sub.add_parser("mixing", parents=enumerating, help="achievable gaps between two words")
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.set_defaults(func=_cmd_mixing)
 
-    p = sub.add_parser("sample", parents=[common], help="seeded sample vs predicted frequencies")
+    p = sub.add_parser("sample", parents=enumerating, help="seeded sample vs predicted frequencies")
     p.add_argument("--letter", default=None)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -371,36 +371,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Not set_defaults: parents=[common] shares one --tol action, so it would change every default.
-_TOL_DEFAULTS = {
-    _cmd_matrix: 1e-12,
-    _cmd_freq: 1e-12,
-    _cmd_ergodicity: 1e-6,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tol is None:
-        args.tol = _TOL_DEFAULTS.get(args.func, 1e-12)
+    args = build_parser().parse_args(argv)
     try:
-        payload = "".join(line + "\n" for line in args.func(args))
+        sub = _load_substitution(args)
+        payload = "".join(line + "\n" for line in args.func(sub, args))
         if args.out is None:
             sys.stdout.write(payload)
         else:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(payload)
         return 0
-    except SpecError as exc:
+    except (SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET_EXIT
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except RandsubError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT

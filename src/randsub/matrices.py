@@ -110,28 +110,24 @@ def _strong_period(successors: Sequence[Sequence[int]]) -> tuple[bool, int]:
     return True, period
 
 
-def _matrix_successors(support: np.ndarray) -> list[list[int]]:
-    """Successors j -> i for the positive entries (i, j) of each column."""
-    positive = np.asarray(support) > 0
-    successors: list[list[int]] = [[] for _ in range(positive.shape[1])]
-    for j, i in zip(*(axis.tolist() for axis in np.nonzero(positive.T))):
-        successors[j].append(i)
-    return successors
-
-
 def _successors(columns: Sequence[str]) -> list[list[int]]:
     """Successors j -> i for the letters i of ``columns[j]``, whatever their weights."""
     return [list(map(ord, set(column))) for column in columns]
 
 
+def _support_columns(support: np.ndarray) -> list[str]:
+    """Each column's letters: chr(i) for its positive entries (i, j)."""
+    return ["".join(map(chr, np.flatnonzero(column))) for column in np.asarray(support).T > 0]
+
+
 def is_irreducible_matrix(support: np.ndarray) -> bool:
     """True iff the 0/1 matrix A is irreducible, i.e. (I + A)^(n-1) > 0."""
-    return _strong_period(_matrix_successors(support))[0]
+    return _strong_period(_successors(_support_columns(support)))[0]
 
 
 def is_primitive_matrix(support: np.ndarray) -> bool:
     """True iff some power of the 0/1 matrix A is entrywise positive."""
-    return _strong_period(_matrix_successors(support)) == (True, 1)
+    return _strong_period(_successors(_support_columns(support))) == (True, 1)
 
 
 def is_primitive(sub: RandomSubstitution) -> bool:

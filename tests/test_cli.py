@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import pytest
@@ -6,6 +7,8 @@ import randsub as rs
 import randsub.matrices
 from randsub import cli
 from randsub.cli import main
+from randsub.induced import DEFAULT_SCAN_TOL
+from randsub.matrices import DEFAULT_PF_TOL
 
 
 def run_cli(capsys, *argv):
@@ -111,7 +114,7 @@ class TestExitCodes:
     def test_library_key_error_is_not_a_usage_error(self, monkeypatch):
         # A KeyError can only come from a fault in the program, never
         # from input: it must surface instead of turning into exit 2.
-        def broken(args):
+        def broken(sub, args):
             raise KeyError("internal")
 
         monkeypatch.setattr(cli, "_cmd_info", broken)
@@ -151,8 +154,12 @@ class TestExitCodes:
         [("--budget", "0"), ("--budget", "-1"), ("--budget", "x"), ("--threads", "0")],
     )
     def test_budget_or_threads_below_one_is_two(self, capsys, flag, value):
+        argv = ["language", "--example", "sofic-ab", "--lmax", "3"]
+        if flag == "--threads":
+            # only the scan takes --threads; argparse refuses the value before --grid is read
+            argv = ["ergodicity", "--example", "sofic-ab", "--grid", "unread.txt"]
         with pytest.raises(SystemExit) as exc:
-            main(["language", "--example", "sofic-ab", "--lmax", "3", flag, value])
+            main([*argv, flag, value])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -177,6 +184,66 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["language", "--example", "golden"])  # missing --lmax
         assert exc.value.code == 2
+
+
+class TestOptionScope:
+    """Each option is declared only on the subcommands that read it."""
+
+    SHARED = {"--spec", "--example", "--out", "--probs"}
+    EXPECTED = {
+        "info": SHARED,
+        "language": SHARED | {"--budget", "--lmax", "--dump-words"},
+        "matrix": SHARED | {"--tol"},
+        "induced": SHARED | {"--budget", "--ell"},
+        "freq": SHARED | {"--budget", "--tol", "--ell"},
+        "ergodicity": SHARED | {"--budget", "--tol", "--threads", "--grid", "--lmax"},
+        "entropy": SHARED | {"--budget", "--lmax", "--kmax"},
+        "periodic": SHARED | {"--budget", "--nmax", "--horizon"},
+        "zeta": SHARED | {"--budget", "--nmax", "--horizon"},
+        "mixing": SHARED | {"--budget", "--u", "--v", "--nmax"},
+        "sample": SHARED | {"--budget", "--letter", "--depth", "--seed", "--ell"},
+    }
+
+    def test_each_subcommand_declares_exactly_its_options(self):
+        (subparsers,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(subparsers.choices) == set(self.EXPECTED)
+        for name, parser in subparsers.choices.items():
+            options = {s for a in parser._actions for s in a.option_strings}
+            assert options - {"-h", "--help"} == self.EXPECTED[name], name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("entropy", "--example", "golden", "--lmax", "4", "--kmax", "1", "--tol", "-1"),
+            ("language", "--example", "golden", "--lmax", "3", "--tol", "nan"),
+            ("sample", "--example", "golden", "--depth", "4", "--tol", "1e-3"),
+            ("info", "--example", "golden", "--budget", "5"),
+            ("matrix", "--example", "golden", "--budget", "5"),
+            ("freq", "--example", "golden", "--ell", "2", "--threads", "2"),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_an_option_a_subcommand_does_not_read_is_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, default",
+        [
+            (("freq", "--example", "golden", "--ell", "2"), DEFAULT_PF_TOL),
+            (("matrix", "--example", "golden"), DEFAULT_PF_TOL),
+            (("ergodicity", "--example", "golden", "--grid", "g.txt"), DEFAULT_SCAN_TOL),
+        ],
+        ids=lambda value: value[0] if isinstance(value, tuple) else None,
+    )
+    def test_tolerance_defaults_come_from_the_library(self, argv, default):
+        assert cli.build_parser().parse_args(argv).tol == default
 
 
 class TestOutputs:
