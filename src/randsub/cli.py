@@ -5,6 +5,8 @@ Every subcommand reads a substitution from --spec FILE or a bundled
 '.' decimal point, LF endings, header rows); ``main`` loads it and writes them
 once.  All but info and matrix take --budget; matrix, freq (solver) and
 ergodicity (scan spread) take --tol; ergodicity alone accepts --threads, a no-op.
+--probs is taken where probabilities are read; language, periodic, zeta and
+mixing depend on the support only and refuse it.
 
 Exit codes: 0 success; 1 domain error (empty subshift, not primitive,
 no convergence, ...); 2 usage or spec-format error; 3 budget exhausted.
@@ -19,6 +21,7 @@ from collections.abc import Iterator
 from .core import (
     DEFAULT_BUDGET,
     RandomSubstitution,
+    _format_images,
     format_float,
     parse_probability,
     parse_spec,
@@ -60,7 +63,7 @@ def _load_substitution(args: argparse.Namespace) -> RandomSubstitution:
     else:
         with open(args.spec, "r", encoding="utf-8") as handle:
             sub = parse_spec(handle.read())
-    if args.probs:
+    if getattr(args, "probs", None):
         sub = with_probabilities(sub, _parse_assignment(args.probs))
     return sub
 
@@ -118,11 +121,7 @@ def _cmd_info(sub: RandomSubstitution, args) -> Iterator[str]:
     if primitive:
         yield _row("empty_subshift", str(is_empty_subshift(sub)).lower())
     for rule in sub.rules:
-        rhs = " | ".join(
-            f"{sub.alphabet.format_word(w)}:{format_float(p)}"
-            for w, p in zip(rule.images, rule.probabilities)
-        )
-        yield _row(f"rule_{sub.alphabet.letters[rule.source]}", rhs)
+        yield _row(f"rule_{sub.alphabet.letters[rule.source]}", _format_images(sub, rule))
 
 
 def _cmd_language(sub: RandomSubstitution, args) -> Iterator[str]:
@@ -295,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--example", choices=example_names(), help="bundled example name"
     )
     common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument(
+    probs = argparse.ArgumentParser(add_help=False)
+    probs.add_argument(
         "--probs",
         help="probability override, e.g. 'a:0.5,0.5 b:1' (fractions allowed)",
     )
@@ -303,12 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument(
         "--budget", type=_positive_int, default=DEFAULT_BUDGET, help="work budget for enumerations"
     )
-    enumerating = [common, budget]
+    enumerating = [common, budget]  # support only: no --probs
+    weighted = [common, probs, budget]
     # One --tol action for matrix and freq: safe because both read the same default.
     pf = argparse.ArgumentParser(add_help=False)
     pf.add_argument("--tol", type=float, default=DEFAULT_PF_TOL, help="power-iteration tolerance")
 
-    p = sub.add_parser("info", parents=[common], help="substitution summary and flags")
+    p = sub.add_parser("info", parents=[common, probs], help="substitution summary and flags")
     p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("language", parents=enumerating, help="legal-word counts per length")
@@ -316,20 +317,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-words", action="store_true")
     p.set_defaults(func=_cmd_language)
 
-    p = sub.add_parser("matrix", parents=[common, pf], help="substitution matrix and eigendata")
+    p = sub.add_parser(
+        "matrix", parents=[common, probs, pf], help="substitution matrix and eigendata"
+    )
     p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("induced", parents=enumerating, help="induced substitution and matrix")
+    p = sub.add_parser("induced", parents=weighted, help="induced substitution and matrix")
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=_cmd_induced)
 
     p = sub.add_parser(
-        "freq", parents=[*enumerating, pf], help="word frequencies at one window length"
+        "freq", parents=[*weighted, pf], help="word frequencies at one window length"
     )
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=_cmd_freq)
 
-    p = sub.add_parser("ergodicity", parents=enumerating, help="unique-ergodicity scan over a grid")
+    p = sub.add_parser("ergodicity", parents=weighted, help="unique-ergodicity scan over a grid")
     p.add_argument("--grid", required=True, help="file with one probability assignment per line")
     p.add_argument("--lmax", type=int, default=2)
     p.add_argument(
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_ergodicity)
 
-    p = sub.add_parser("entropy", parents=enumerating, help="entropy bracket")
+    p = sub.add_parser("entropy", parents=weighted, help="entropy bracket")
     p.add_argument("--lmax", type=int, default=8)
     p.add_argument("--kmax", type=int, default=2)
     p.set_defaults(func=_cmd_entropy)
@@ -361,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.set_defaults(func=_cmd_mixing)
 
-    p = sub.add_parser("sample", parents=enumerating, help="seeded sample vs predicted frequencies")
+    p = sub.add_parser("sample", parents=weighted, help="seeded sample vs predicted frequencies")
     p.add_argument("--letter", default=None)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

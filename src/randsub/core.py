@@ -348,15 +348,19 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _format_images(sub: RandomSubstitution, rule: Rule) -> str:
+    """A rule's right-hand side in the spec grammar: ``image:p | image:p ...``."""
+    return " | ".join(
+        f"{sub.alphabet.format_word(w)}:{format_float(p)}"
+        for w, p in zip(rule.images, rule.probabilities)
+    )
+
+
 def serialize(sub: RandomSubstitution) -> str:
     """Emit the spec grammar; parse_spec(serialize(sub)) round-trips."""
     lines = ["alphabet: " + " ".join(sub.alphabet.letters)]
     for rule in sub.rules:
-        alts = " | ".join(
-            f"{sub.alphabet.format_word(w)}:{format_float(p)}"
-            for w, p in zip(rule.images, rule.probabilities)
-        )
-        lines.append(f"rule {sub.alphabet.letters[rule.source]} -> {alts}")
+        lines.append(f"rule {sub.alphabet.letters[rule.source]} -> {_format_images(sub, rule)}")
     return "\n".join(lines) + "\n"
 
 

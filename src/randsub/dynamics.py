@@ -5,12 +5,13 @@ Topological entropy is bracketed from two sides: every value
 log C(ell) / ell of the complexity profile is a rigorous upper bound
 (the limit is the infimum of the subadditive sequence), and a splitting
 pair for some power k gives the rigorous lower bound
-freq(a) * log(2) / (2 * N_k), where N_k bounds the realisation lengths of
-the k-th power.  Periodic-point counts are certified only up to a
-legality horizon; they upper-bound the true counts and feed the
-truncated zeta series exp(sum_n count(n) z^n / n).  For primitive
-compatible substitutions a letter-frequency certificate sharpens these
-bounds beyond what any horizon reaches.
+freq(a) * log(2) / (2 * N_k), where freq(a) is the ell = 1 word frequency
+of the letter a and N_k bounds the realisation lengths of the k-th power.
+Periodic-point counts are certified only up to a legality horizon; they
+upper-bound the true counts and feed the truncated zeta series
+exp(sum_n count(n) z^n / n).  For primitive compatible substitutions a
+letter-frequency certificate sharpens these bounds beyond what any
+horizon reaches.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .core import (
 )
 from .errors import LengthOrderError, NotPrimitiveError
 from .language import LanguageTable, complexity, legal_words
-from .matrices import _perron_right, is_primitive, substitution_matrix
+from .induced import word_frequencies
+from .matrices import is_primitive
 
 
 def is_strong_affix(u: Word, v: Word) -> bool:
@@ -146,10 +148,8 @@ def entropy_bracket(
     profile = tuple(
         (ell, math.log(c) / ell) for ell, c in enumerate(counts, start=1)
     )
-    # Primitivity was checked on the support; the expected matrix itself
-    # may be degenerate, in which case some frequencies are 0 and the
-    # corresponding letters simply contribute no lower bound.
-    freq = _perron_right(substitution_matrix(sub), sub.is_degenerate)
+    # Degenerate probabilities can make some frequencies 0: those letters add no bound.
+    freq = word_frequencies(sub, 1, budget=budget).values
     n_k = max_realisation_lengths(sub, k_max)
     report = splitting_pairs(sub, k_max, budget=budget)
     best = 0.0
@@ -157,7 +157,7 @@ def entropy_bracket(
     for (k, letter), pair in sorted(report.pairs.items()):
         if pair is None:
             continue
-        value = float(freq[letter]) * math.log(2.0) / (2.0 * n_k[k - 1])
+        value = freq[letter] * math.log(2.0) / (2.0 * n_k[k - 1])
         if value > best:
             best = value
             witness = pair

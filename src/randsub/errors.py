@@ -51,6 +51,12 @@ class BudgetExceededError(RandsubError):
 class EmptySubshiftError(RandsubError):
     """The subshift is empty: every image of every letter has length 1."""
 
+    def __init__(
+        self,
+        message: str = "empty subshift: all images have length 1, no legal words beyond letters",
+    ):
+        super().__init__(message)
+
 
 class NotPrimitiveError(RandsubError):
     """Operation requires a primitive substitution (or primitive matrix)."""

@@ -7,10 +7,12 @@ every image is non-empty, v is always long enough for these windows, and
 every window produced is again a legal ell-word.  Only the first
 |image of w_0| + ell - 1 letters of v are read, so tails are cut to
 ell - 1 letters.  The right Perron-Frobenius eigenvector of the induced
-matrix, normalised to sum 1, gives the ell-word frequency vector;
-scanning it over several probability assignments and window lengths is
-a finite test for unique ergodicity: any variation disproves it, while
-agreement at finite depth proves nothing and is reported as such.
+matrix, normalised to sum 1, gives the ell-word frequency vector, the
+letter frequencies at ell = 1; scanning it over several probability
+assignments and window lengths is a finite test for unique ergodicity:
+any variation disproves it, while agreement at finite depth proves
+nothing and is reported as such.  ``_perron_rights`` is the one route from
+probabilities to Perron vectors: it holds the stack cap and the M + I shift.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from .core import (
 )
 from .errors import EmptySubshiftError, NoConvergenceError, NotPrimitiveError
 from .language import LanguageTable, legal_words
-from .matrices import DEFAULT_PF_TOL, _assemble, _perron_right, _perron_stack, _strong_period
-from .matrices import _successors, is_primitive, substitution_matrix
+from . import matrices
+from .matrices import DEFAULT_PF_TOL, _assemble, _power_iterates, _strong_period, _successors
+from .matrices import is_primitive, substitution_matrix
 
 DEFAULT_SCAN_TOL = 1e-6
 # Matrix entries iterated together.  Stacking saves interpreter steps, not memory:
@@ -148,7 +151,9 @@ def _perron_rights(
     """Each point's right Perron vector; primitivity is decided once, on the support.
     The points' matrices are iterated in stacks of at most ``_STACK_ENTRIES`` entries
     (one matrix, never copied, when it is larger); a ``NoConvergenceError`` names in
-    ``point`` the index of the first point that failed."""
+    ``point`` the index of the first point that failed.  Images of probability 0 can
+    make a matrix periodic, where power iteration oscillates forever; M + I has the
+    same Perron vector and is aperiodic, so ``degenerate`` points iterate it."""
     columns, weights = [], []  # per window its images' letters; per letter its image's weight
     for merged in images:
         columns.append("".join(merged))
@@ -156,17 +161,17 @@ def _perron_rights(
     if _strong_period(_successors(columns)) != (True, 1):
         raise NotPrimitiveError(f"induced substitution at ell={ell} is not primitive")
     if sub.max_image_len == 1:
-        raise EmptySubshiftError(
-            "empty subshift: all images have length 1, no legal words beyond letters"
-        )
+        raise EmptySubshiftError()
     n = len(columns)
-    matrices = _assemble(columns, weights)
+    assembled = _assemble(columns, weights)
     start = 0
-    while stack := list(islice(matrices, max(1, _STACK_ENTRIES // n**2))):
+    while stack := list(islice(assembled, max(1, _STACK_ENTRIES // n**2))):
         ms = stack[0][None] if len(stack) == 1 else np.stack(stack)
         del stack  # stacked copies of its matrices are all that is needed
+        if degenerate:
+            ms = ms + np.eye(n)
         try:
-            rights = _perron_stack(ms, degenerate, tol)
+            rights = [x for _, x, _, _ in _power_iterates(ms, tol, matrices.PF_ITERATION_CAP)]
         except NoConvergenceError as exc:
             raise NoConvergenceError(str(exc), start + exc.point) from None
         yield from rights
@@ -327,11 +332,12 @@ def ratio_condition_check(
     For every letter j, every pair of its images and every pair of target
     letters (i1, i2), the count differences must satisfy
     d_i1 * R_i2 = d_i2 * R_i1 where R is the letter-frequency vector; a
-    violation means R depends on the probabilities.
+    violation means R depends on the probabilities.  R is read as the ell = 1
+    word frequencies, so an empty subshift is refused.
     """
     if not is_primitive(sub):
         raise NotPrimitiveError("ratio condition check requires a primitive substitution")
-    r = _perron_right(substitution_matrix(sub), sub.is_degenerate)
+    r = word_frequencies(sub, 1).values
     n = sub.n_letters
     violations = []
     checked = 0

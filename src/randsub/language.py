@@ -196,9 +196,7 @@ class _Closure:
 
     def __init__(self, sub: RandomSubstitution, ell: int, budget: int):
         if is_empty_subshift(sub):
-            raise EmptySubshiftError(
-                "empty subshift: all images have length 1, no legal words beyond letters"
-            )
+            raise EmptySubshiftError()
         self.sub = sub
         self.ell = ell
         self.budget = budget

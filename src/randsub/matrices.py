@@ -17,7 +17,8 @@ stacked product ``np.matmul(ms, x[:, :, None])`` for every point not yet
 converged, which is the same BLAS matrix-vector product per matrix as
 ``m @ x``, so each point's result is bit for bit that of iterating its
 matrix alone.  A single matrix is iterated as the view ``m[None]`` and is
-never copied.
+never copied.  ``perron_data`` runs it on one explicit matrix; the stack cap
+and the M + I shift for degenerate probabilities live in ``induced._perron_rights``.
 """
 
 from __future__ import annotations
@@ -195,11 +196,6 @@ def _power_iterates(
     raise NoConvergenceError(f"power iteration did not converge in {cap} steps", int(live[0]))
 
 
-def _power_iterate(m: np.ndarray, tol: float, cap: int) -> tuple[float, np.ndarray, int, float]:
-    """``_power_iterates`` on the one-matrix stack ``m[None]``, a view of ``m``."""
-    return _power_iterates(m[None], tol, cap)[0]
-
-
 def perron_data(m: np.ndarray, tol: float = DEFAULT_PF_TOL) -> PerronData:
     """Dominant eigenvalue and eigenvectors of a primitive matrix by power
     iteration."""
@@ -210,23 +206,8 @@ def perron_data(m: np.ndarray, tol: float = DEFAULT_PF_TOL) -> PerronData:
         raise ValueError("matrix must be non-negative")
     if not is_primitive_matrix(m):
         raise NotPrimitiveError("matrix is not primitive")
-    lam, right, it_r, residual = _power_iterate(m, tol, PF_ITERATION_CAP)
-    _, left_raw, it_l, _ = _power_iterate(m.T, tol, PF_ITERATION_CAP)
+    lam, right, it_r, residual = _power_iterates(m[None], tol, PF_ITERATION_CAP)[0]
+    _, left_raw, it_l, _ = _power_iterates(m.T[None], tol, PF_ITERATION_CAP)[0]
     left = left_raw / float(left_raw @ right)
     return PerronData(float(lam), right, left, float(residual), it_r + it_l)
 
-
-def _perron_stack(ms: np.ndarray, degenerate: bool, tol: float = DEFAULT_PF_TOL) -> list:
-    """Right Perron vector of each expected matrix in the stack ``ms`` (P, n, n),
-    for substitutions whose support is primitive.  With images of probability zero
-    (``degenerate``) a matrix can be irreducible but periodic, where power iteration
-    oscillates forever; M + I has the same Perron vector and is aperiodic, so it is
-    iterated instead.  Only the right vectors are iterated."""
-    if degenerate:
-        ms = ms + np.eye(ms.shape[1])
-    return [x for _, x, _, _ in _power_iterates(ms, tol, PF_ITERATION_CAP)]
-
-
-def _perron_right(m: np.ndarray, degenerate: bool, tol: float = DEFAULT_PF_TOL) -> np.ndarray:
-    """``_perron_stack`` of the one matrix ``m``."""
-    return _perron_stack(np.asarray(m, dtype=float)[None], degenerate, tol)[0]

@@ -189,19 +189,31 @@ class TestExitCodes:
 class TestOptionScope:
     """Each option is declared only on the subcommands that read it."""
 
-    SHARED = {"--spec", "--example", "--out", "--probs"}
+    SHARED = {"--spec", "--example", "--out"}
+    WEIGHTED = SHARED | {"--probs"}
     EXPECTED = {
-        "info": SHARED,
+        "info": WEIGHTED,
         "language": SHARED | {"--budget", "--lmax", "--dump-words"},
-        "matrix": SHARED | {"--tol"},
-        "induced": SHARED | {"--budget", "--ell"},
-        "freq": SHARED | {"--budget", "--tol", "--ell"},
-        "ergodicity": SHARED | {"--budget", "--tol", "--threads", "--grid", "--lmax"},
-        "entropy": SHARED | {"--budget", "--lmax", "--kmax"},
+        "matrix": WEIGHTED | {"--tol"},
+        "induced": WEIGHTED | {"--budget", "--ell"},
+        "freq": WEIGHTED | {"--budget", "--tol", "--ell"},
+        "ergodicity": WEIGHTED | {"--budget", "--tol", "--threads", "--grid", "--lmax"},
+        "entropy": WEIGHTED | {"--budget", "--lmax", "--kmax"},
         "periodic": SHARED | {"--budget", "--nmax", "--horizon"},
         "zeta": SHARED | {"--budget", "--nmax", "--horizon"},
         "mixing": SHARED | {"--budget", "--u", "--v", "--nmax"},
-        "sample": SHARED | {"--budget", "--letter", "--depth", "--seed", "--ell"},
+        "sample": WEIGHTED | {"--budget", "--letter", "--depth", "--seed", "--ell"},
+    }
+    # Per subcommand taking --probs, the arguments of a golden run whose stdout
+    # an override of letter 0 changes; the ergodicity grid names letter 1 only.
+    READS_PROBS = {
+        "info": (),
+        "matrix": (),
+        "induced": ("--ell", "2"),
+        "freq": ("--ell", "2"),
+        "ergodicity": ("--grid", "grid.txt"),
+        "entropy": ("--lmax", "4", "--kmax", "1"),
+        "sample": ("--depth", "6"),
     }
 
     def test_each_subcommand_declares_exactly_its_options(self):
@@ -222,6 +234,11 @@ class TestOptionScope:
             ("info", "--example", "golden", "--budget", "5"),
             ("matrix", "--example", "golden", "--budget", "5"),
             ("freq", "--example", "golden", "--ell", "2", "--threads", "2"),
+            ("language", "--example", "golden", "--lmax", "3", "--probs", "0:0.9,0.1"),
+            ("periodic", "--example", "golden", "--nmax", "3", "--probs", "0:0.9,0.1"),
+            ("zeta", "--example", "golden", "--nmax", "3", "--probs", "0:0.9,0.1"),
+            ("mixing", "--example", "golden", "--u", "0", "--v", "1", "--nmax", "3",
+             "--probs", "0:0.9,0.1"),
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}",
     )
@@ -232,6 +249,23 @@ class TestOptionScope:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+    def test_probs_is_declared_where_it_is_read(self):
+        assert {name for name, options in self.EXPECTED.items() if "--probs" in options} == set(
+            self.READS_PROBS
+        )
+        assert sum(map(len, self.EXPECTED.values())) == 72
+
+    @pytest.mark.parametrize("name", sorted(READS_PROBS))
+    def test_each_probs_override_changes_stdout(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "grid.txt").write_text("1:0.5,0.5\n1:0.9,0.1\n")
+        argv = (name, "--example", "golden", *self.READS_PROBS[name])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, overridden, _ = run_cli(capsys, *argv, "--probs", "0:0.9,0.1")
+        assert code == 0
+        assert overridden != out
 
     @pytest.mark.parametrize(
         "argv, default",

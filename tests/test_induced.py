@@ -311,6 +311,11 @@ class TestRatioCondition:
         assert (violation.letter, violation.image_pair, violation.letter_pair) == (0, (0, 1), (0, 1))
         assert violation.residual == pytest.approx(2**0.5, abs=1e-9)
 
+    def test_empty_subshift_rejected(self):
+        # No invariant measure, so no letter frequencies to depend on anything.
+        with pytest.raises(rs.EmptySubshiftError, match="all images have length 1"):
+            rs.ratio_condition_check(rs.get_example("empty-demo"))
+
 
 def perfbench_grid(seed):
     """The 16-point stratified random Fibonacci grid of perfbench's

@@ -12,12 +12,12 @@ import pytest
 
 import randsub as rs
 import randsub.induced
+import randsub.matrices
 import randsub.sampler
 from conftest import seed_for_draw
 from randsub.core import _image_budget_error, _realisation_map, power_realisation_words
 from randsub.language import code_base, code_dtype, decode_codes, encode_rows
-from randsub.matrices import DEFAULT_PF_TOL, PF_ITERATION_CAP, _assemble, _perron_right
-from randsub.matrices import _perron_stack, _power_iterate, _power_iterates
+from randsub.matrices import DEFAULT_PF_TOL, PF_ITERATION_CAP, _assemble, _power_iterates
 from randsub.sampler import _expand_levels, _window_counts, stream_u01
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -645,11 +645,19 @@ class TestErgodicityWitness:
         assert scanned > 0
 
 
+def matrix_perron_right(m, degenerate, tol=DEFAULT_PF_TOL):
+    """Reference: the right Perron vector of one matrix, iterating M + I
+    when the probabilities are degenerate, up to the library's current cap."""
+    if degenerate:
+        m = m + np.eye(len(m))
+    return _power_iterates(m[None], tol, randsub.matrices.PF_ITERATION_CAP)[0][1]
+
+
 def reference_frequencies(sub, ell, table=None):
     """Reference: the Perron vector of the induced substitution's own
     substitution matrix, summed entry by entry in its rule order."""
     ind = rs.induced_substitution(sub, ell, table=table)
-    return _perron_right(rs.substitution_matrix(ind.sub), sub.is_degenerate)
+    return matrix_perron_right(rs.substitution_matrix(ind.sub), sub.is_degenerate)
 
 
 def scan_vectors(monkeypatch, sub, ell_max, grid):
@@ -712,6 +720,52 @@ class TestOneBuildPerWindowLength:
         for ell in range(1, 7):
             values = rs.word_frequencies(fib, ell, table=table).values
             assert np.array_equal(values, reference_frequencies(fib, ell, table))
+
+
+def degenerate_variant(sub, rng):
+    """``sub`` with one seeded image of probability 0 in every rule of two
+    or more images; the support, and so primitivity, is unchanged."""
+    assignment = {}
+    for letter, rule in zip(sub.alphabet.letters, sub.rules):
+        if rule.arity > 1:
+            weights = [rng.uniform(0.1, 1.0) for _ in rule.images]
+            weights[rng.randrange(rule.arity)] = 0.0
+            assignment[letter] = [x / sum(weights) for x in weights]
+    return rs.with_probabilities(sub, assignment)
+
+
+class TestLetterFrequencies:
+    """Letter frequencies are the ell = 1 word frequencies: the induced
+    matrix at ell = 1 is the substitution matrix, assembled in the same
+    order, so the vector must be bit for bit the Perron vector of that
+    matrix, as the entropy bracket and the ratio condition once read it."""
+
+    def test_ell_one_route_matches_the_substitution_matrix(self, pool, registry, monkeypatch):
+        # A degenerate matrix with a Jordan block at its dominant eigenvalue
+        # converges like 1/k and stalls at any cap; both routes must stall
+        # alike, which a lower cap shows without a million steps each.
+        monkeypatch.setattr(randsub.matrices, "PF_ITERATION_CAP", 10**4)
+        rng = random.Random(0x1E77)
+        checked = degenerate = stalled = 0
+        for sub in [*pool, *registry, rs.parse_spec(DEGENERATE_SPEC)]:
+            if rs.is_empty_subshift(sub):
+                continue
+            for probed in (sub, non_dyadic(sub, rng), degenerate_variant(sub, rng)):
+                checked += 1
+                degenerate += probed.is_degenerate
+                m = rs.substitution_matrix(probed)
+                try:
+                    expected = matrix_perron_right(m, probed.is_degenerate)
+                except rs.NoConvergenceError as exc:
+                    with pytest.raises(rs.NoConvergenceError) as raised:
+                        rs.word_frequencies(probed, 1)
+                    assert str(raised.value) == str(exc), rs.serialize(probed)
+                    stalled += 1
+                    continue
+                assert np.array_equal(rs.word_frequencies(probed, 1).values, expected), (
+                    rs.serialize(probed)
+                )
+        assert checked > 250 and degenerate > 80 and 0 < stalled < 10
 
 
 class TestInducedPrimitivity:
@@ -789,7 +843,7 @@ def loop_support_matrix(sub):
 
 
 def two_product_iterate(m, tol, cap):
-    """Reference: _power_iterate as it was before one product per step,
+    """Reference: the one-matrix power iteration as it was before one product per step,
     with a second product per step to test convergence."""
     n = m.shape[0]
     x = np.full(n, 1.0 / n)
@@ -899,11 +953,11 @@ class TestOneProductPerStep:
         for sub in matrix_subs:
             m = rs.substitution_matrix(sub)
             if sub.is_degenerate:
-                m = m + np.eye(len(m))  # as _perron_right iterates it
+                m = m + np.eye(len(m))  # as _perron_rights iterates it
             if not rs.is_primitive_matrix(m):
                 continue
             for a in (m, m.T):
-                lam, x, steps, residual = _power_iterate(a, tol, PF_ITERATION_CAP)
+                lam, x, steps, residual = _power_iterates(a[None], tol, PF_ITERATION_CAP)[0]
                 ref_lam, ref_x, ref_steps, ref_residual = two_product_iterate(
                     a, tol, PF_ITERATION_CAP
                 )
@@ -952,7 +1006,7 @@ def assert_stack_matches_points(ms, tol, cap=PF_ITERATION_CAP):
     assert len(results) == len(ms)
     for m, (lam, x, steps, residual) in zip(ms, results):
         for ref_lam, ref_x, ref_steps, ref_residual in (
-            _power_iterate(m, tol, cap),
+            _power_iterates(m[None], tol, cap)[0],
             two_product_iterate(m, tol, cap),
         ):
             assert (lam, steps, residual) == (ref_lam, ref_steps, ref_residual)
@@ -983,10 +1037,11 @@ class TestStackedPowerIteration:
             )
             shifted = ms + np.eye(ms.shape[1])
             assert_stack_matches_points(shifted, tol)
-            for m, right, shifted_m in zip(ms, _perron_stack(ms, True, tol), shifted):
-                reference = two_product_iterate(shifted_m, tol, PF_ITERATION_CAP)[1]
-                assert np.array_equal(right, reference)
-                assert np.array_equal(right, _perron_right(m, True, tol))
+            for p, m, shifted_m in zip(probed, ms, shifted):
+                right = rs.word_frequencies(p, ell, table=table, tol=tol).values
+                iterated = shifted_m if p.is_degenerate else m
+                reference = two_product_iterate(iterated, tol, PF_ITERATION_CAP)[1]
+                assert np.array_equal(right, reference), (ell, p.rules[0].probabilities)
 
     @pytest.mark.parametrize("tol", [1e-6, DEFAULT_PF_TOL])
     def test_cap_names_the_first_unconverged_point(self, induced_stacks, tol):
@@ -1018,13 +1073,13 @@ class TestStackedPowerIteration:
         n = len(table.words(ell_max))
         monkeypatch.setattr(randsub.induced, "_STACK_ENTRIES", size * n * n)
         shapes = []
-        stack = randsub.induced._perron_stack
+        iterates = randsub.induced._power_iterates
 
         def recorded(ms, *args):
             shapes.append(ms.shape)
-            return stack(ms, *args)
+            return iterates(ms, *args)
 
-        monkeypatch.setattr(randsub.induced, "_perron_stack", recorded)
+        monkeypatch.setattr(randsub.induced, "_power_iterates", recorded)
         seen = scan_vectors(monkeypatch, fib, ell_max, grid)
         last = [k for k, m, _ in shapes if m == n]
         assert last == [size] * (7 // size) + [7 % size] * (7 % size > 0)
