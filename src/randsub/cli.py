@@ -7,6 +7,8 @@ once.  All but info and matrix take --budget; matrix, freq (solver) and
 ergodicity (scan spread) take --tol; ergodicity alone accepts --threads, a no-op.
 --probs is taken where probabilities are read; language, periodic, zeta and
 mixing depend on the support only and refuse it.
+OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set; a library import of randsub sets no variable.
 
 Exit codes: 0 success; 1 domain error (empty subshift, not primitive,
 no convergence, ...); 2 usage or spec-format error; 3 budget exhausted.
@@ -15,8 +17,20 @@ no convergence, ...); 2 usage or spec-format error; 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterator
+
+# Before numpy loads: its OpenBLAS would otherwise start a worker thread that
+# busy-waits after the import and after every product.  Measured on 2 vCPUs,
+# one thread cut `randsub --help` from 0.25 to 0.16 s of CPU and the perfbench
+# reports by about a third; up to `freq` ell 14, wall time stayed within noise
+# (two threads a shade faster at ell 12, 0.239 against 0.244 s).  Large
+# dense products do gain from a second thread: `freq --example period-doubling
+# --ell 16` (an 865 MB matrix) took 5.4 s of wall time against 3.5 s.  Stdout
+# is the same either way, and a thread count the user set stands.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .core import (
     DEFAULT_BUDGET,

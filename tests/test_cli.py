@@ -1,5 +1,11 @@
 import argparse
+import importlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -461,3 +467,122 @@ class TestDeterminism:
             "--grid", str(grid), "--lmax", "2", "--threads", "4",
         )
         assert seq == par
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Run in a fresh interpreter: which modules one import loads, which environment
+# variables it writes, and how many threads the process then holds.
+FRESH_IMPORT = """
+import json, os, sys
+before = dict(os.environ)
+import {module}
+tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+print(json.dumps({{
+    "numpy": "numpy" in sys.modules,
+    "changed": {{k: os.environ.get(k) for k in before.keys() | os.environ.keys()
+                if before.get(k) != os.environ.get(k)}},
+    "tasks": tasks,
+}}))
+"""
+
+
+def fresh_import(module, **preset):
+    # Importing randsub.cli here has set a thread variable in this process,
+    # so each child starts from an environment with all three removed.
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(preset)
+    src = str(Path(rs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT.format(module=module)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestBlasThreads:
+    def test_import_randsub_loads_no_numpy_and_sets_nothing(self):
+        result = fresh_import("randsub")
+        assert result["numpy"] is False
+        assert result["changed"] == {}
+
+    def test_cli_defaults_openblas_to_one_thread(self):
+        result = fresh_import("randsub.cli")
+        assert result["numpy"] is True
+        assert result["changed"] == {"OPENBLAS_NUM_THREADS": "1"}
+        if result["tasks"] is None:
+            pytest.skip("thread count read from /proc/self/task on Linux only")
+        assert result["tasks"] == 1
+
+    @pytest.mark.parametrize("var", THREAD_VARS)
+    def test_cli_leaves_a_preset_thread_count(self, var):
+        assert fresh_import("randsub.cli", **{var: "3"})["changed"] == {}
+
+
+class TestPackageNamespace:
+    # The public names as the eager package imported them, by defining module.
+    PUBLIC = {
+        "core": [
+            "Alphabet", "RandomSubstitution", "Rule", "Word", "is_realisation",
+            "letter_counts", "parse_spec", "power_realisations", "realisations",
+            "same_support", "serialize", "subwords", "with_probabilities",
+        ],
+        "dynamics": [
+            "EntropyBracket", "PeriodicCensus", "SplittingPair", "SplittingReport",
+            "ZetaSeries", "entropy_bracket", "is_strong_affix",
+            "max_realisation_lengths", "mixing_gaps", "periodic_census",
+            "refine_census_by_frequencies", "series_exp", "series_log",
+            "splitting_pairs", "zeta_series",
+        ],
+        "errors": [
+            "BadProbabilityError", "BudgetExceededError", "DegenerateRuleError",
+            "EmptyImageError", "EmptySubshiftError", "LengthOrderError",
+            "NoConvergenceError", "NotPrimitiveError", "RandsubError", "SpecError",
+            "SpecSyntaxError", "UnknownLetterError", "WordTooShortError",
+        ],
+        "examples": ["EXAMPLES", "ExampleSpec", "example_names", "get_example"],
+        "induced": [
+            "ErgodicityVerdict", "ErgodicityWitness", "FrequencyVector",
+            "InducedSubstitution", "RatioConditionReport", "RatioViolation",
+            "induced_is_primitive", "induced_matrix", "induced_substitution",
+            "ratio_condition_check", "unique_ergodicity_scan", "word_frequencies",
+        ],
+        "language": [
+            "LanguageTable", "complexity", "is_empty_subshift", "is_legal", "legal_words",
+        ],
+        "matrices": [
+            "PerronData", "is_irreducible", "is_irreducible_matrix", "is_primitive",
+            "is_primitive_matrix", "perron_data", "substitution_matrix",
+            "support_matrix",
+        ],
+        "sampler": [
+            "SampleReport", "empirical_frequencies", "frequency_report",
+            "sample_realisation", "stream_u01",
+        ],
+    }
+
+    def test_all_lists_the_same_75_names(self):
+        names = sorted(name for names in self.PUBLIC.values() for name in names)
+        assert len(names) == 75
+        assert sorted(rs.__all__) == names
+
+    def test_each_name_is_its_defining_modules_object(self):
+        for module, names in self.PUBLIC.items():
+            home = importlib.import_module(f"randsub.{module}")
+            for name in names:
+                assert getattr(rs, name) is getattr(home, name), name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from randsub import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(rs.__all__)
+        assert all(namespace[name] is getattr(rs, name) for name in rs.__all__)
+
+    def test_submodules_resolve_as_attributes(self):
+        assert rs.language.code_dtype is importlib.import_module("randsub.language").code_dtype
+        assert all(getattr(rs, module).__name__ == f"randsub.{module}" for module in self.PUBLIC)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            rs.no_such_name

@@ -140,11 +140,21 @@ class TestPerron:
         with pytest.raises(rs.NotPrimitiveError):
             rs.perron_data(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
-    def test_non_square_and_negative_rejected(self):
-        with pytest.raises(ValueError):
+    def test_non_square_and_negative_rejected(self, monkeypatch):
+        # Every guard (square, finite, non-negative) raises before the power
+        # iteration starts; a NaN or inf entry would otherwise run the whole
+        # PF_ITERATION_CAP and end in NoConvergenceError.
+        def no_iteration(*args):
+            raise AssertionError("power iteration reached")
+
+        monkeypatch.setattr(rs.matrices, "_power_iterates", no_iteration)
+        with pytest.raises(ValueError, match="square"):
             rs.perron_data(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative"):
             rs.perron_data(np.array([[1.0, -0.1], [1.0, 1.0]]))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                rs.perron_data(np.array([[bad, 1.0], [1.0, 1.0]]))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
     def test_tolerance_must_be_positive_and_finite(self, tol):
