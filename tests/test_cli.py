@@ -487,13 +487,22 @@ print(json.dumps({{
 """
 
 
+def child_env(env, **preset):
+    """``env`` with ``preset`` applied (None removes a variable) and this
+    checkout's ``src`` first on PYTHONPATH, for a fresh interpreter."""
+    for name, value in preset.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    src = str(Path(rs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def fresh_import(module, **preset):
     # Importing randsub.cli here has set a thread variable in this process,
     # so each child starts from an environment with all three removed.
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env.update(preset)
-    src = str(Path(rs.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = child_env({k: v for k, v in os.environ.items() if k not in THREAD_VARS}, **preset)
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_IMPORT.format(module=module)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
@@ -518,6 +527,106 @@ class TestBlasThreads:
     @pytest.mark.parametrize("var", THREAD_VARS)
     def test_cli_leaves_a_preset_thread_count(self, var):
         assert fresh_import("randsub.cli", **{var: "3"})["changed"] == {}
+
+
+def cli_process(argv, stdout=subprocess.PIPE, **preset):
+    """Run ``python -m randsub.cli`` (the ``run`` exit path) in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "randsub.cli", *argv],
+        env=child_env(dict(os.environ), **preset),
+        stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+    )
+
+
+def in_process(capsys, argv):
+    """``main`` in this interpreter, with argparse's exits read as codes."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode("utf-8"), captured.err
+
+
+class TestProcessExit:
+    @pytest.fixture(autouse=True)
+    def fixed_help_width(self, monkeypatch):
+        # argparse wraps --help to the terminal; a child writing to a pipe
+        # and this process under pytest may see different widths.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("info", "--example", "golden"), 0),
+            (("--help",), 0),
+            (("language", "--example", "empty-demo", "--lmax", "3"), 1),
+            (("language", "--example", "golden"), 2),  # missing --lmax
+            (("language", "--example", "sofic-ab", "--lmax", "20", "--budget", "50"), 3),
+            (("ergodicity", "--example", "random-fibonacci", "--lmax", "1"), 0),
+        ],
+        ids=["success", "help", "domain", "usage", "budget", "stderr-warning"],
+    )
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_process_matches_main(self, capsys, tmp_path, argv, code, unbuffered):
+        if argv[0] == "ergodicity":  # a degenerate point: the warning goes to stderr
+            grid = tmp_path / "grid.txt"
+            grid.write_text("a:0.5,0.5\na:0.9,0.1\na:1,0\n")
+            argv = (*argv, "--grid", str(grid))
+        proc = cli_process(argv, PYTHONUNBUFFERED=unbuffered)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode("utf-8")) == in_process(
+            capsys, argv
+        )
+        assert proc.returncode == code
+
+    def test_out_file_is_complete(self, capsys, tmp_path):
+        argv = ("language", "--example", "golden", "--lmax", "12", "--dump-words")
+        target = tmp_path / "report.csv"
+        proc = cli_process([*argv, "--out", str(target)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert target.read_bytes() == in_process(capsys, argv)[1]
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX pipe semantics")
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("info", "--example", "golden"), 2),  # fits the buffer: fails at the flush
+            (("language", "--example", "full-shift-2", "--lmax", "12", "--dump-words"), 2),
+            (("--help",), 0),  # a failed help write is ignored, as recent argparse does
+        ],
+        ids=["small", "large", "help"],
+    )
+    def test_closed_stdout(self, argv, code, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = cli_process(argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode("utf-8")
+        assert proc.returncode == code
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [("--help",), ("info", "--help")], ids=["top", "sub"])
+    def test_failed_help_write_exits_0(self, monkeypatch, argv, failing):
+        # Python 3.10's argparse lets an OSError from the help write escape.
+        class Closed:
+            def write(self, text):
+                if failing == "write":
+                    raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
 
 
 class TestPackageNamespace:
