@@ -34,12 +34,12 @@ Bounded memory.  Extensions run in chunks of about 2^15 (partial, image)
 pairs; each chunk deduplicates its live partials per word and its
 windows before they are kept.
 
-Budget.  Work is one unit per (partial, image) extension, charged word
-by word in lexicographic order within a round, as a word-at-a-time queue
-would.  A word's work is known before its extensions run, so once the
-charged work passes the budget, only the words before that point in the
-order are extended further; the error names the exact work at the first
-word that crossed the budget.
+Budget.  Work is one unit per (partial, image) extension, charged in the
+order the rounds run: lengths go up, and within one length the words go
+in lexicographic order.  A length's work is known before any of its
+extensions run, so the closure stops before the charged work would pass
+the budget: a failing closure runs at most ``budget`` extensions, and the
+error names the cumulative work at the first word that crossed it.
 
 Overflow.  Codes are int64 while ``b^(ell + longest image)`` stays below
 2^62; beyond that the same code runs on numpy arrays of Python ints.
@@ -264,11 +264,6 @@ class _Closure:
     def _round(self, batch: dict[int, np.ndarray], rounds: int) -> dict[int, np.ndarray]:
         """Process one batch; return its emitted windows per length."""
         ell = self.ell
-        before = self.work
-        charged = 0
-        ranks: dict[int, np.ndarray] | None = None
-        works: dict[int, np.ndarray] = {}
-        limit: int | None = None  # only words ranked below are extended
         chunks: list[np.ndarray] = []
         for m, words in batch.items():
             table = self.tails if m == 1 else self.images
@@ -279,61 +274,21 @@ class _Closure:
             lo = np.searchsorted(keys, prefix, side="left")
             hi = np.searchsorted(keys, prefix, side="right")
             last = (words % self.base).astype(np.int64)
-            works[m] = (hi - lo) * table[0][last]
-            charged += int(works[m].sum())
-            if before + charged > self.budget:
-                if ranks is None:
-                    ranks = self._ranks(batch)
-                limit = self._first_over(ranks, works, before, limit)
-            if limit is not None:
-                select = ranks[m] < limit
-                words, lo, hi, last = words[select], lo[select], hi[select], last[select]
+            work = self.work + np.cumsum((hi - lo) * table[0][last])
+            if work[-1] > self.budget:
+                first = int(np.argmax(work > self.budget))
+                raise BudgetExceededError(
+                    f"language closure to length {ell}: {int(work[first])} window extensions "
+                    f"in round {rounds}",
+                    self.budget,
+                )
             self._extend(m, table, words, lo, hi, last, chunks)
-        if limit is not None:
-            cum = before + np.cumsum(self._flat_works(ranks, works, limit + 1))
-            first = int(np.argmax(cum > self.budget))
-            raise BudgetExceededError(
-                f"language closure to length {ell}: {int(cum[first])} window extensions "
-                f"in round {rounds}",
-                self.budget,
-            )
-        self.work = before + charged
+            self.work = int(work[-1])
         windows = _unique(np.concatenate(chunks)) if chunks else self.empty
         edges = np.searchsorted(windows, self.pows[: ell + 2])
         return {
             m: windows[edges[m] : edges[m + 1]] - self.pows[m] for m in range(1, ell + 1)
         }
-
-    def _ranks(self, batch: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        """Position of every batch word in lexicographic order."""
-        lengths = np.concatenate([np.full(len(w), m) for m, w in batch.items()])
-        aligned = np.concatenate([w * self.pows[self.ell - m] for m, w in batch.items()])
-        order = np.lexsort((lengths, aligned))
-        flat = np.empty(len(order), dtype=np.int64)
-        flat[order] = np.arange(len(order))
-        out, start = {}, 0
-        for m, w in batch.items():
-            out[m] = flat[start : start + len(w)]
-            start += len(w)
-        return out
-
-    @staticmethod
-    def _flat_works(ranks, works, size: int) -> np.ndarray:
-        """Known works in lexicographic order (0 where not yet known)."""
-        flat = np.zeros(size, dtype=np.int64)
-        for m, w in works.items():
-            keep = ranks[m] < size
-            flat[ranks[m][keep]] = w[keep]
-        return flat
-
-    def _first_over(self, ranks, works, before: int, limit: int | None) -> int:
-        """Rank of the first word whose known cumulative work passes the
-        budget; unknown works count as zero, so the true crossing is at
-        or before it."""
-        size = sum(len(r) for r in ranks.values()) if limit is None else limit + 1
-        cum = before + np.cumsum(self._flat_works(ranks, works, size))
-        over = cum > self.budget
-        return int(np.argmax(over)) if over.any() else size - 1
 
     # -- extensions -------------------------------------------------
 

@@ -202,6 +202,8 @@ def perron_data(m: np.ndarray, tol: float = DEFAULT_PF_TOL) -> PerronData:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if m.size == 0:  # the empty graph counts as primitive, and 1/n divides by zero
+        raise ValueError("matrix must be non-empty")
     if not np.isfinite(m).all():  # NaN passes the sign test and inf never converges
         raise ValueError("matrix entries must be finite")
     if (m < 0).any():

@@ -127,7 +127,7 @@ class TestTableMechanics:
         with pytest.raises(rs.BudgetExceededError) as info:
             rs.legal_words(rs.get_example("sofic-ab"), 20, budget=50)
         assert str(info.value) == (
-            "language closure to length 20: 64 window extensions in round 3 (budget 50)"
+            "language closure to length 20: 56 window extensions in round 3 (budget 50)"
         )
         assert info.value.budget == 50
 
@@ -137,7 +137,7 @@ class TestTableMechanics:
         with pytest.raises(rs.BudgetExceededError) as info:
             rs.legal_words(sofic, 20, table=table, budget=50)
         assert str(info.value) == (
-            "language closure to length 20: 64 window extensions in round 3 (budget 50)"
+            "language closure to length 20: 56 window extensions in round 3 (budget 50)"
         )
         assert table.max_len == 3
 

@@ -141,7 +141,7 @@ class TestPerron:
             rs.perron_data(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_non_square_and_negative_rejected(self, monkeypatch):
-        # Every guard (square, finite, non-negative) raises before the power
+        # Every guard (square, non-empty, finite, non-negative) raises before the power
         # iteration starts; a NaN or inf entry would otherwise run the whole
         # PF_ITERATION_CAP and end in NoConvergenceError.
         def no_iteration(*args):
@@ -150,6 +150,8 @@ class TestPerron:
         monkeypatch.setattr(rs.matrices, "_power_iterates", no_iteration)
         with pytest.raises(ValueError, match="square"):
             rs.perron_data(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="non-empty"):
+            rs.perron_data(np.zeros((0, 0)))
         with pytest.raises(ValueError, match="non-negative"):
             rs.perron_data(np.array([[1.0, -0.1], [1.0, 1.0]]))
         for bad in (math.nan, math.inf, -math.inf):

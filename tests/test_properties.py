@@ -288,8 +288,11 @@ class TestLanguageInvariants:
 
 def str_closure(sub, ell, budget):
     """Reference: the language closure on sets of str windows, as it was
-    before words were coded as integers.  Returns the legal words per
-    length and the per-length stabilisation rounds."""
+    before words were coded as integers.  Each round's words are queued
+    shortest first and lexicographically within a length, the order in
+    which the closure charges its budget; the words and rounds found do
+    not depend on that order.  Returns the legal words per length and the
+    per-length stabilisation rounds."""
     rules = sub.rules
     work = 0
     live = {}
@@ -348,7 +351,7 @@ def str_closure(sub, ell, budget):
                         if piece not in known:
                             fresh.add(piece)
             emitted_of[word] = frozenset()
-        for word in sorted(fresh):
+        for word in sorted(fresh, key=lambda w: (len(w), w)):
             known.add(word)
             round_added[len(word)] = rounds
             queue.append(word)
@@ -395,6 +398,29 @@ class TestLanguageOracle:
                 continue
             for budget in (50, 1000, 5000):
                 assert_closures_agree(sub, ell, budget)
+
+    def test_failing_closure_stays_within_budget(self, pool, registry, monkeypatch):
+        # Sum the (partial, image) pairs handed to every extension: a
+        # closure that fails must stop before it runs past its budget.
+        extend = rs.language._Closure._extend
+        ran = [0]
+
+        def counted(self, m, table, words, lo, hi, last, chunks):
+            ran[0] += int(((hi - lo) * table[0][last]).sum())
+            return extend(self, m, table, words, lo, hi, last, chunks)
+
+        monkeypatch.setattr(rs.language._Closure, "_extend", counted)
+        cases = [(sub, 8) for sub in pool] + [(sub, 12) for sub in registry]
+        cases.append((rs.get_example("sofic-ab"), 20))
+        for sub, ell in cases:
+            if rs.is_empty_subshift(sub):
+                continue
+            for budget in (50, 100, 1000, 5000):
+                ran[0] = 0
+                try:
+                    rs.LanguageTable(sub, ell, budget=budget)
+                except rs.BudgetExceededError:
+                    assert ran[0] <= budget, (rs.serialize(sub), ell, budget, ran[0])
 
     def test_wide_codes_match(self):
         # 3^(40 + 2) >= 2^62, so this closure runs on Python-int codes
