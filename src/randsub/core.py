@@ -12,9 +12,7 @@ operations are pure, so concurrent reads are safe.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadProbabilityError,
@@ -110,8 +108,7 @@ class Alphabet:
         return ".".join(tokens) if self.needs_dots else "".join(tokens)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """Images and probabilities for one source letter.
 
     Image words are pairwise distinct (duplicates are merged at parse
@@ -255,6 +252,7 @@ def parse_probability(text: str, line: int | None = None) -> float:
     text = text.strip()
     try:
         if "/" in text:
+            from fractions import Fraction  # loaded only for a fraction
             value = float(Fraction(text))
         else:
             value = float(text)

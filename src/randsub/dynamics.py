@@ -17,8 +17,7 @@ horizon reaches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (
     DEFAULT_BUDGET,
@@ -41,16 +40,14 @@ def is_strong_affix(u: Word, v: Word) -> bool:
     return v.startswith(u) and v.endswith(u)
 
 
-@dataclass(frozen=True)
-class SplittingPair:
+class SplittingPair(NamedTuple):
     letter: int
     power: int
     u: Word
     v: Word
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(NamedTuple):
     """First splitting pair (or None) per power k <= k_max and letter."""
 
     k_max: int
@@ -110,8 +107,7 @@ def max_realisation_lengths(sub: RandomSubstitution, k_max: int) -> list[int]:
     return [max(hi) for _lo, hi in bounds[1:]]
 
 
-@dataclass(frozen=True)
-class EntropyBracket:
+class EntropyBracket(NamedTuple):
     """Two-sided entropy estimate.
 
     ``upper_profile`` lists (ell, log C(ell)/ell); each entry is a valid
@@ -173,8 +169,7 @@ def entropy_bracket(
     )
 
 
-@dataclass(frozen=True)
-class PeriodicCensus:
+class PeriodicCensus(NamedTuple):
     """Counts of n-periodic sequences whose repetitions look legal out to
     the given horizon.  Counts are certified upper bounds for the true
     number of sequences fixed by the n-th shift power; every cyclic
@@ -282,8 +277,7 @@ def refine_census_by_frequencies(
     )
 
 
-@dataclass(frozen=True)
-class ZetaSeries:
+class ZetaSeries(NamedTuple):
     """Truncated power series of exp(sum_n count(n) z^n / n)."""
 
     n_max: int

@@ -9,13 +9,12 @@ brackets can be sanity-checked against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import RandomSubstitution, parse_spec
 
 
-@dataclass(frozen=True)
-class ExampleSpec:
+class ExampleSpec(NamedTuple):
     name: str
     text: str
     description: str

@@ -17,9 +17,8 @@ probabilities to Perron vectors: it holds the stack cap and the M + I shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,8 +45,7 @@ DEFAULT_SCAN_TOL = 1e-6
 _STACK_ENTRIES = 2**16
 
 
-@dataclass(frozen=True)
-class InducedSubstitution:
+class InducedSubstitution(NamedTuple):
     """The induced substitution over legal ``ell``-words.
 
     ``words`` lists the induced alphabet in canonical order and ``sub`` is
@@ -128,8 +126,7 @@ def induced_is_primitive(ind: InducedSubstitution) -> bool:
     return is_primitive(ind.sub)
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
+class FrequencyVector(NamedTuple):
     """L1-normalised dominant right eigenvector of the induced matrix,
     keyed by legal ell-word; entry v is the frequency (cylinder measure)
     of v."""
@@ -199,8 +196,7 @@ def word_frequencies(
     return FrequencyVector(ell=ell, words=words, values=tuple(float(x) for x in right))
 
 
-@dataclass(frozen=True)
-class ErgodicityWitness:
+class ErgodicityWitness(NamedTuple):
     """One frequency entry that moved across the probability grid."""
 
     ell: int
@@ -215,8 +211,7 @@ class ErgodicityWitness:
         return self.high_value - self.low_value
 
 
-@dataclass(frozen=True)
-class ErgodicityVerdict:
+class ErgodicityVerdict(NamedTuple):
     """Outcome of the finite unique-ergodicity scan.
 
     ``not_uniquely_ergodic`` True is a rigorous conclusion (frequencies
@@ -299,8 +294,7 @@ def unique_ergodicity_scan(
     )
 
 
-@dataclass(frozen=True)
-class RatioViolation:
+class RatioViolation(NamedTuple):
     """A pair of images whose letter-count differences are not aligned
     with the letter-frequency ratios, certifying that the letter
     frequencies depend on the probability vector."""
@@ -313,8 +307,7 @@ class RatioViolation:
     residual: float
 
 
-@dataclass(frozen=True)
-class RatioConditionReport:
+class RatioConditionReport(NamedTuple):
     violations: tuple[RatioViolation, ...]
     checked: int
     tol: float

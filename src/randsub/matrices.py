@@ -23,9 +23,8 @@ and the M + I shift for degenerate probabilities live in ``induced._perron_right
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,8 +138,7 @@ def is_irreducible(sub: RandomSubstitution) -> bool:
     return _strong_period(_successors(_image_letters(sub)))[0]
 
 
-@dataclass
-class PerronData:
+class PerronData(NamedTuple):
     """Dominant eigendata of a primitive non-negative matrix.
 
     ``right`` is L1-normalised (entries sum to 1) and ``left`` is scaled so

@@ -31,7 +31,7 @@ plus the previous level's choices plus one block of temporaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,8 +189,7 @@ def empirical_frequencies(word: Word, ell: int) -> dict[Word, float]:
     return _frequencies(_window_counts(arr, ell, int(arr.max()) + 1), len(word) - ell + 1)
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(NamedTuple):
     """Empirical window frequencies of one sampled realisation against
     the predicted frequency vector.  Identical inputs (including the
     seed) reproduce the report bit for bit."""

@@ -186,6 +186,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    def test_zero_denominator_probability_is_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "freq", "--example", "random-fibonacci", "--ell", "2",
+            "--probs", "a:1/0,1 b:1",
+        )
+        assert (code, out) == (2, "")
+        assert "cannot parse probability '1/0'" in err
+
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["language", "--example", "golden"])  # missing --lmax
@@ -340,6 +348,19 @@ class TestOutputs:
             + 0.09
         ), abs=1e-9)
 
+    def test_freq_with_fractional_probability_override(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "freq", "--example", "random-fibonacci", "--ell", "2",
+            "--probs", "a:1/3,2/3 b:1",
+        )
+        sub = rs.with_probabilities(rs.get_example("random-fibonacci"), {"a": (1 / 3, 2 / 3)})
+        freq = rs.word_frequencies(sub, 2)
+        expected = ["word,frequency"] + [
+            f"{sub.alphabet.format_word(word)},{cli.format_float(value)}"
+            for word, value in zip(freq.words, freq.values)
+        ]
+        assert (code, out) == (0, "\n".join(expected) + "\n")
+
     def test_induced_emits_spec_grammar(self, capsys):
         _code, out, _ = run_cli(
             capsys, "induced", "--example", "random-fibonacci", "--ell", "2"
@@ -480,6 +501,8 @@ import {module}
 tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
 print(json.dumps({{
     "numpy": "numpy" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
+    "fractions": "fractions" in sys.modules,
     "changed": {{k: os.environ.get(k) for k in before.keys() | os.environ.keys()
                 if before.get(k) != os.environ.get(k)}},
     "tasks": tasks,
@@ -527,6 +550,12 @@ class TestBlasThreads:
     @pytest.mark.parametrize("var", THREAD_VARS)
     def test_cli_leaves_a_preset_thread_count(self, var):
         assert fresh_import("randsub.cli", **{var: "3"})["changed"] == {}
+
+    def test_cli_import_loads_neither_dataclasses_nor_fractions(self):
+        # Records are NamedTuples, which generate no methods at import, and
+        # fractions loads only when a probability is written as one.
+        result = fresh_import("randsub.cli")
+        assert (result["dataclasses"], result["fractions"]) == (False, False)
 
 
 def cli_process(argv, stdout=subprocess.PIPE, **preset):
@@ -695,3 +724,52 @@ class TestPackageNamespace:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             rs.no_such_name
+
+
+class TestRecords:
+    # Each result record's fields in the order the dataclasses declared them.
+    FIELDS = {
+        "Rule": ("source", "images", "probabilities"),
+        "SplittingPair": ("letter", "power", "u", "v"),
+        "SplittingReport": ("k_max", "pairs"),
+        "EntropyBracket": (
+            "upper_profile", "upper", "lower", "lower_status", "lower_witness",
+            "exact_known", "exact_note",
+        ),
+        "PeriodicCensus": ("n_max", "horizon", "counts", "roots"),
+        "ZetaSeries": ("n_max", "coefficients", "log_terms"),
+        "ExampleSpec": ("name", "text", "description", "exact_entropy", "entropy_note"),
+        "InducedSubstitution": ("ell", "words", "sub"),
+        "FrequencyVector": ("ell", "words", "values"),
+        "ErgodicityWitness": (
+            "ell", "word", "low_point", "high_point", "low_value", "high_value",
+        ),
+        "ErgodicityVerdict": ("not_uniquely_ergodic", "ell_max", "grid", "tol", "witness"),
+        "RatioViolation": (
+            "letter", "image_pair", "letter_pair", "delta_first", "delta_second", "residual",
+        ),
+        "RatioConditionReport": ("violations", "checked", "tol"),
+        "PerronData": ("lam", "right", "left", "residual", "iterations"),
+        "SampleReport": (
+            "seed", "start_letter", "depth", "ell", "sample_length", "empirical",
+            "predicted", "max_abs_deviation",
+        ),
+    }
+    DEFAULTS = {
+        "EntropyBracket": {"exact_known": None, "exact_note": None},
+        "ExampleSpec": {"exact_entropy": None, "entropy_note": None},
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_fields_immutability_and_repr(self, name):
+        cls = getattr(rs, name)
+        fields = self.FIELDS[name]
+        assert cls._fields == fields
+        assert cls._field_defaults == self.DEFAULTS.get(name, {})
+        values = [f"value {i}" for i in range(len(fields))]
+        record = cls(*values)
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], "other")
+        assert getattr(record, fields[0]) == "value 0"
+        shown = ", ".join(f"{field}={value!r}" for field, value in zip(fields, values))
+        assert repr(record) == f"{name}({shown})"
