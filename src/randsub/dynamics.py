@@ -28,7 +28,7 @@ from .core import (
     power_realisation_words,
 )
 from .errors import LengthOrderError, NotPrimitiveError
-from .language import LanguageTable, complexity, legal_words
+from .language import LanguageTable, code_base, complexity, encode_word, legal_words
 from .induced import word_frequencies
 from .matrices import is_primitive
 
@@ -343,9 +343,11 @@ def mixing_gaps(
     table = legal_words(sub, longest, table=table, budget=budget)
     if u not in table or v not in table:
         raise ValueError("u and v must be legal words")
+    base = code_base(sub.n_letters)
+    u_code, v_code = encode_word(u, base), encode_word(v, base)
     achievable = []
     for n in range(n_max + 1):
-        total = len(u) + n + len(v)
-        if any(w.startswith(u) and w.endswith(v) for w in table.words(total)):
+        codes = table.codes(len(u) + n + len(v))
+        if ((codes // base ** (n + len(v)) == u_code) & (codes % base ** len(v) == v_code)).any():
             achievable.append(n)
     return tuple(achievable)

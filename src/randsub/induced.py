@@ -11,8 +11,10 @@ matrix, normalised to sum 1, gives the ell-word frequency vector, the
 letter frequencies at ell = 1; scanning it over several probability
 assignments and window lengths is a finite test for unique ergodicity:
 any variation disproves it, while agreement at finite depth proves
-nothing and is reported as such.  ``_perron_rights`` is the one route from
-probabilities to Perron vectors: it holds the stack cap and the M + I shift.
+nothing and is reported as such.  ``_induced_entries`` builds the induced
+matrices on the language codec's integer codes, as entries in one fixed order,
+and ``_perron_rights`` is the one route from probabilities to Perron vectors:
+it holds the stack cap and the M + I shift.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .core import (
     with_probabilities,
 )
 from .errors import EmptySubshiftError, NoConvergenceError, NotPrimitiveError
-from .language import LanguageTable, legal_words
+from .language import LanguageTable, code_base, code_dtype, encode_rows, encode_word, legal_words
 from . import matrices
-from .matrices import DEFAULT_PF_TOL, _assemble, _power_iterates, _strong_period, _successors
+from .matrices import DEFAULT_PF_TOL, _assemble, _power_iterates, _strong_period
 from .matrices import is_primitive, substitution_matrix
 
 DEFAULT_SCAN_TOL = 1e-6
@@ -71,34 +73,57 @@ def _windows(
     return legal_words(sub, ell, table=table, budget=budget).words(ell)
 
 
-def _induced_images(
-    sub: RandomSubstitution, ell: int, words: tuple[Word, ...], weights: list, budget: int
-) -> Iterator[dict]:
-    """Yield each window's merged ``{induced image: weight}``, window by window.
-
-    ``weights`` holds one probability sequence per letter: floats weigh one
-    point, and length-P numpy arrays weigh P points with the same keys, key
-    order, products and sums as P float passes.  Windows sharing a tail
-    ``w[1:]`` share its cut tail map, which is expanded once per call.
-    """
-    letter = {w: chr(i) for i, w in enumerate(words)}
-    tail_maps: dict[Word, dict] = {}
+def _induced_entries(
+    sub: RandomSubstitution, words: tuple[Word, ...], weights: list, budget: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The induced matrix's entries (index i * n + j, weights) and each image's first.
+    Window j = w gets, per image x of w_0 (weight p0) and key s of the cut tail map of
+    w[1:] (weight pt), the windows of x + s starting in x, weighted 0.0 + p0 * pt: one
+    entry per letter, by window, image, tail, then letter.  No two (x, s) give the same
+    image, so nothing merges: a rule's images are distinct (``Rule.validate``) and cut
+    tails are distinct keys of ell - 1 letters, so x + s gives (x, s), and the windows
+    cover x + s.  ``weights`` holds per letter floats, or (images, P) for P points."""
+    base, ell, n = code_base(sub.n_letters), len(words[0]), len(words)
+    dtype = code_dtype(base, ell - 1 + sub.max_image_len)
+    pows = np.array([base**k for k in range(ell + sub.max_image_len)], dtype=dtype)
+    tails, keys, pt = {}, [], []  # tail: (first key, key count); a letter 0 before each key
     for w in words:
-        tail_map = tail_maps.get(w[1:])
-        if tail_map is None:
-            tail_map = tail_maps[w[1:]] = _realisation_map(sub, w[1:], budget, ell - 1, weights)
-        merged: dict = {}
-        for first_image, p0 in zip(sub.rules[ord(w[0])].images, weights[ord(w[0])]):
-            for tail, pt in tail_map.items():
-                v = first_image + tail  # the cut tail is ell - 1 long
-                try:
-                    u = "".join([letter[v[k : k + ell]] for k in range(len(first_image))])
-                except KeyError:
-                    raise AssertionError(
-                        "window of a legal image fell outside the language"
-                    ) from None
-                merged[u] = merged.get(u, 0.0) + p0 * pt
-        yield merged
+        if w[1:] not in tails:
+            tail_map = _realisation_map(sub, w[1:], budget, ell - 1, weights)
+            tails[w[1:]] = (len(pt), len(tail_map))
+            keys.append("\0" + "\0".join(tail_map))
+            pt += tail_map.values()
+    tail_start, tail_size = np.array([tails[w[1:]] for w in words]).T
+    pt = np.reshape(pt, (len(pt), -1))
+    codes = np.frombuffer(("".join(keys) + "".join(words)).encode("utf-32-le"), dtype="<u4")
+    codes = encode_rows(codes.reshape(-1, ell), base, dtype)  # keys', then windows', ell letters
+    tail_codes, window_codes = codes[: len(pt)], codes[len(pt) :]
+    images = [x for rule in sub.rules for x in rule.images]
+    first = np.cumsum([0] + [rule.arity for rule in sub.rules])
+    p0 = np.concatenate([np.reshape(w, (len(w), -1)) for w in weights])
+    # one row per (window, image, tail), and x + s as code(x) * b^(ell - 1) + code(s)
+    letter = np.array([ord(w[0]) for w in words], dtype=np.intp)
+    count = (first[letter + 1] - first[letter]) * tail_size
+    window = np.repeat(np.arange(n), count)
+    q = np.arange(len(window)) - np.repeat(np.cumsum(count) - count, count)
+    image = first[letter][window] + q // tail_size[window]
+    tail = tail_start[window] + q % tail_size[window]
+    length = np.array(list(map(len, images)))[image]
+    weight = np.repeat(0.0 + p0[image] * pt[tail], length, axis=0)
+    joined = np.array([encode_word(x, base) for x in images], dtype=dtype)[image] * pows[ell - 1]
+    joined += tail_codes[tail]
+    del q, image, tail  # the loop below is the peak; hold no more there than it reads
+    starts, index = np.cumsum(length) - length, np.repeat(window, length)
+    del window
+    for k in range(sub.max_image_len):  # cut the window at offset k from x + s
+        has = length > k
+        codes = joined[has] // pows[length[has] - 1 - k] % pows[ell]
+        found = np.searchsorted(window_codes, codes)
+        if not np.array_equal(window_codes.take(found, mode="clip"), codes):
+            raise AssertionError("window of a legal image fell outside the language")
+        found *= n
+        index[starts[has] + k] += found
+    return index, weight, starts
 
 
 def induced_substitution(
@@ -112,8 +137,15 @@ def induced_substitution(
     # dotted names would collide with the image syntax, so join with +
     join = "+".join if sub.alphabet.needs_dots else "".join
     ind_alphabet = Alphabet([join(sub.alphabet.decode(w)) for w in words])
-    images = _induced_images(sub, ell, words, [r.probabilities for r in sub.rules], budget)
-    rules = [Rule(i, tuple(merged), tuple(merged.values())) for i, merged in enumerate(images)]
+    weights = [r.probabilities for r in sub.rules]
+    index, weights, starts = _induced_entries(sub, words, weights, budget)
+    letters = "".join(map(chr, (index // len(words)).tolist()))
+    bounds = starts.tolist() + [len(letters)]
+    merged: list[dict] = [{} for _ in words]
+    owners, probabilities = (index[starts] % len(words)).tolist(), weights[starts, 0].tolist()
+    for i, end, j, p in zip(bounds, bounds[1:], owners, probabilities):
+        merged[j][letters[i:end]] = p
+    rules = [Rule(j, tuple(images), tuple(images.values())) for j, images in enumerate(merged)]
     return InducedSubstitution(ell=ell, words=words, sub=RandomSubstitution(ind_alphabet, rules))
 
 
@@ -143,24 +175,21 @@ class FrequencyVector(NamedTuple):
 
 
 def _perron_rights(
-    sub: RandomSubstitution, ell: int, images: Iterator[dict], degenerate: bool, tol: float
+    sub: RandomSubstitution, words, weights, budget, degenerate=False, tol=DEFAULT_PF_TOL
 ) -> Iterator[np.ndarray]:
-    """Each point's right Perron vector; primitivity is decided once, on the support.
+    """Each point's right Perron vector on ``words``; primitivity is decided once, by support.
     The points' matrices are iterated in stacks of at most ``_STACK_ENTRIES`` entries
     (one matrix, never copied, when it is larger); a ``NoConvergenceError`` names in
     ``point`` the index of the first point that failed.  Images of probability 0 can
     make a matrix periodic, where power iteration oscillates forever; M + I has the
     same Perron vector and is aperiodic, so ``degenerate`` points iterate it."""
-    columns, weights = [], []  # per window its images' letters; per letter its image's weight
-    for merged in images:
-        columns.append("".join(merged))
-        weights += [p for image, p in merged.items() for _ in image]
-    if _strong_period(_successors(columns)) != (True, 1):
-        raise NotPrimitiveError(f"induced substitution at ell={ell} is not primitive")
+    n = len(words)
+    index, weights = _induced_entries(sub, words, weights, budget)[:2]
+    if _strong_period(index, n) != (True, 1):
+        raise NotPrimitiveError(f"induced substitution at ell={len(words[0])} is not primitive")
     if sub.max_image_len == 1:
         raise EmptySubshiftError()
-    n = len(columns)
-    assembled = _assemble(columns, weights)
+    assembled = _assemble(index, weights, n)
     start = 0
     while stack := list(islice(assembled, max(1, _STACK_ENTRIES // n**2))):
         ms = stack[0][None] if len(stack) == 1 else np.stack(stack)
@@ -191,8 +220,8 @@ def word_frequencies(
     so it is refused at every ell.
     """
     words = _windows(sub, ell, table, budget)
-    images = _induced_images(sub, ell, words, [r.probabilities for r in sub.rules], budget)
-    (right,) = _perron_rights(sub, ell, images, sub.is_degenerate, tol)
+    weights = [r.probabilities for r in sub.rules]
+    (right,) = _perron_rights(sub, words, weights, budget, sub.is_degenerate, tol)
     return FrequencyVector(ell=ell, words=words, values=tuple(float(x) for x in right))
 
 
@@ -267,9 +296,8 @@ def unique_ergodicity_scan(
     witness_ratio = -np.inf
     for ell in range(1, ell_max + 1):
         words = _windows(sub, ell, table, budget)
-        images = _induced_images(sub, ell, words, weights, budget)
         try:
-            values = np.array(list(_perron_rights(sub, ell, images, False, DEFAULT_PF_TOL)))
+            values = np.array(list(_perron_rights(sub, words, weights, budget)))
         except NoConvergenceError as exc:
             where = f"{exc} (ell {ell}, grid point {exc.point})"
             raise NoConvergenceError(where, exc.point) from None

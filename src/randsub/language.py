@@ -51,7 +51,7 @@ import numpy as np
 
 from .core import DEFAULT_BUDGET, RandomSubstitution, Word, same_support
 from .errors import BudgetExceededError, EmptySubshiftError, NotPrimitiveError
-from .matrices import is_primitive
+from .matrices import _unique, is_primitive
 
 _CHUNK = 2**15
 
@@ -108,17 +108,6 @@ def decode_codes(codes: np.ndarray, length: int, base: int) -> list[Word]:
     return [text[i : i + length] for i in range(0, len(text), length)]
 
 
-def _unique(codes: np.ndarray) -> np.ndarray:
-    """Sorted distinct values; sorting beats ``np.unique``'s hashing here."""
-    codes = np.sort(codes)
-    if len(codes) < 2:
-        return codes
-    first = np.empty(len(codes), dtype=bool)
-    first[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    return codes[first]
-
-
 def _member(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Elementwise membership of ``codes`` in a sorted array."""
     if len(sorted_codes) == 0:
@@ -164,20 +153,22 @@ class LanguageTable:
             self.max_len = max_len
         return self
 
-    def words(self, length: int) -> tuple[Word, ...]:
-        """Legal words of one length in canonical (lexicographic) order."""
+    def codes(self, length: int) -> np.ndarray:
+        """Codes of the legal words of one length, sorted (canonical order)."""
         if length < 1:
             raise ValueError("length must be at least 1")
         self.extend(length)
+        return self._codes[length]
+
+    def words(self, length: int) -> tuple[Word, ...]:
+        """Legal words of one length in canonical (lexicographic) order."""
+        codes = self.codes(length)
         if length not in self._words:
-            self._words[length] = tuple(decode_codes(self._codes[length], length, self._base))
+            self._words[length] = tuple(decode_codes(codes, length, self._base))
         return self._words[length]
 
     def count(self, length: int) -> int:
-        if length < 1:
-            raise ValueError("length must be at least 1")
-        self.extend(length)
-        return len(self._codes[length])
+        return len(self.codes(length))
 
     def __contains__(self, word: Word) -> bool:
         # A set of the decoded words, built on the first query of a length,

@@ -8,8 +8,8 @@ images: a degenerate substitution can be primitive even though its
 expected matrix is not.  The support is read as a directed graph with an
 edge j -> i when letter i occurs in an image of j; irreducibility is
 strong connectivity of that graph, and primitivity is strong connectivity
-with period 1.  Two breadth-first walks decide both in time linear in the
-number of edges, so no matrix power is ever formed.
+with period 1.  One sort of the edges and two breadth-first walks decide
+both, so no matrix power is ever formed.
 
 Perron-Frobenius vectors come from one power iteration over a stack of
 equal-size matrices, one per probability assignment: each step takes one
@@ -23,8 +23,7 @@ and the M + I shift for degenerate probabilities live in ``induced._perron_right
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,56 +34,66 @@ DEFAULT_PF_TOL = 1e-12
 PF_ITERATION_CAP = 10**6
 
 
-def _image_letters(sub: RandomSubstitution) -> list[str]:
-    """Each letter's image letters, joined in declaration order."""
-    return ["".join(rule.images) for rule in sub.rules]
+def _unique(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct values; ``np.unique`` is slower here and loads ``numpy.ma``."""
+    codes = np.sort(codes)
+    if len(codes) < 2:
+        return codes
+    first = np.empty(len(codes), dtype=bool)
+    first[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return codes[first]
 
 
-def _assemble(columns: Sequence[str], weights: Sequence) -> Iterator[np.ndarray]:
-    """Each point's matrix, entry (i, j) summing the weights of letter i's occurrences in
-    ``columns[j]``.  ``weights`` has one entry per occurrence, a float or P floats for P
-    points, summed with ``np.add.at`` in column order; one matrix is held at a time."""
-    n = len(columns)
-    rows = np.fromiter(map(ord, "".join(columns)), dtype=np.intp)
-    cols = np.repeat(np.arange(n), list(map(len, columns)))
-    for point_weights in np.array(weights, dtype=float).reshape(len(rows), -1).T:
-        m = np.zeros((n, n))
-        np.add.at(m, (rows, cols), point_weights)
-        yield m
+def _entries(sub: RandomSubstitution) -> tuple[np.ndarray, np.ndarray]:
+    """M's entries (index, weights): i * n + j and the image's probability for each
+    letter i of an image of j, in rule, image and letter order."""
+    entries = [(r.source, w, p) for r in sub.rules for w, p in zip(r.images, r.probabilities)]
+    cols, images, weights = zip(*entries)
+    lengths = list(map(len, images))
+    rows = np.fromiter(map(ord, "".join(images)), dtype=np.intp)
+    return rows * sub.n_letters + np.repeat(cols, lengths), np.repeat(weights, lengths)[:, None]
+
+
+def _assemble(index: np.ndarray, weights: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Each point's n x n matrix, entry (i, j) summing the (entries, P) ``weights`` at
+    index i * n + j one by one in entry order (as ``np.add.at`` would); one at a time."""
+    for point_weights in weights.T:
+        yield np.bincount(index, point_weights, n * n).reshape(n, n)
 
 
 def substitution_matrix(sub: RandomSubstitution) -> np.ndarray:
     """Expected letter-count matrix M[i, j] = sum_q p_jq * |w_(j,q)|_i."""
-    weights = [p for r in sub.rules for w, p in zip(r.images, r.probabilities) for _ in w]
-    return next(_assemble(_image_letters(sub), weights))
+    return next(_assemble(*_entries(sub), sub.n_letters))
 
 
 def support_matrix(sub: RandomSubstitution) -> np.ndarray:
     """0/1 matrix: entry (i, j) = 1 iff letter i occurs in some image of j,
     regardless of that image's probability."""
-    columns = _image_letters(sub)
-    return (next(_assemble(columns, [1.0] * sum(map(len, columns)))) > 0).astype(np.int64)
+    index, weights = _entries(sub)
+    return (next(_assemble(index, np.ones_like(weights), sub.n_letters)) > 0).astype(np.int64)
 
 
-def _bfs_levels(adjacency: Sequence[Sequence[int]]) -> list[int]:
-    """Breadth-first distances from vertex 0, with -1 where unreachable."""
-    level = [-1] * len(adjacency)
-    level[0] = 0
-    queue = [0]
+def _bfs_levels(edges: np.ndarray, n: int) -> list[int]:
+    """Breadth-first distances from vertex 0 along the sorted distinct edges
+    i -> j, coded i * n + j, with -1 where unreachable."""
+    starts = [0] + np.searchsorted(edges, np.arange(1, n + 1) * n).tolist()
+    targets = (edges % n).tolist()
+    level, queue = [0] + [-1] * (n - 1), [0]
     for u in queue:
-        for v in adjacency[u]:
+        for v in targets[starts[u] : starts[u + 1]]:
             if level[v] < 0:
                 level[v] = level[u] + 1
                 queue.append(v)
     return level
 
 
-def _strong_period(successors: Sequence[Sequence[int]]) -> tuple[bool, int]:
-    """Whether the directed graph on vertices 0..n-1 with the given
-    successor lists is strongly connected, and if so its period.
+def _strong_period(index: np.ndarray, n: int) -> tuple[bool, int]:
+    """Whether the graph on vertices 0..n-1 with edges i -> j at ``index`` i * n + j, a
+    matrix's graph reversed, is strongly connected, and if so its period.
 
     A breadth-first search from vertex 0 assigns levels, and a second one
-    over the predecessor lists checks that every vertex reaches vertex 0.
+    over the reversed edges checks that every vertex reaches vertex 0.
     The period of a strongly connected graph is the gcd of
     level(u) + 1 - level(v) over its edges u -> v (Denardo, Math. Oper.
     Res. 1977).  These terms sum to the length of any closed walk along
@@ -93,49 +102,39 @@ def _strong_period(successors: Sequence[Sequence[int]]) -> tuple[bool, int]:
     and one along the search tree's path to v, so the period divides the
     gcd.  A single vertex without a loop has no cycle and period 0.
     """
-    n = len(successors)
     if n == 0:  # vacuously strongly connected, and A^1 is (vacuously) positive
         return True, 1
-    level = _bfs_levels(successors)
+    edges = _unique(index)
+    level = _bfs_levels(edges, n)
     if -1 in level:
         return False, 0
-    predecessors: list[list[int]] = [[] for _ in range(n)]
-    period = 0
-    for u, vs in enumerate(successors):
-        for v in vs:
-            predecessors[v].append(u)
-            period = gcd(period, level[u] + 1 - level[v])
-    if -1 in _bfs_levels(predecessors):
+    heads, tails = np.divmod(edges, n)
+    del edges
+    period = int(np.gcd.reduce(np.take(level, heads) + 1 - np.take(level, tails)))
+    tails *= n
+    tails += heads  # the reversed edges j -> i, coded j * n + i
+    del heads
+    if -1 in _bfs_levels(_unique(tails), n):
         return False, 0
     return True, period
 
 
-def _successors(columns: Sequence[str]) -> list[list[int]]:
-    """Successors j -> i for the letters i of ``columns[j]``, whatever their weights."""
-    return [list(map(ord, set(column))) for column in columns]
-
-
-def _support_columns(support: np.ndarray) -> list[str]:
-    """Each column's letters: chr(i) for its positive entries (i, j)."""
-    return ["".join(map(chr, np.flatnonzero(column))) for column in np.asarray(support).T > 0]
-
-
 def is_irreducible_matrix(support: np.ndarray) -> bool:
     """True iff the 0/1 matrix A is irreducible, i.e. (I + A)^(n-1) > 0."""
-    return _strong_period(_successors(_support_columns(support)))[0]
+    return _strong_period(np.flatnonzero(np.asarray(support) > 0), len(support))[0]
 
 
 def is_primitive_matrix(support: np.ndarray) -> bool:
     """True iff some power of the 0/1 matrix A is entrywise positive."""
-    return _strong_period(_successors(_support_columns(support))) == (True, 1)
+    return _strong_period(np.flatnonzero(np.asarray(support) > 0), len(support)) == (True, 1)
 
 
 def is_primitive(sub: RandomSubstitution) -> bool:
-    return _strong_period(_successors(_image_letters(sub))) == (True, 1)
+    return _strong_period(_entries(sub)[0], sub.n_letters) == (True, 1)
 
 
 def is_irreducible(sub: RandomSubstitution) -> bool:
-    return _strong_period(_successors(_image_letters(sub)))[0]
+    return _strong_period(_entries(sub)[0], sub.n_letters)[0]
 
 
 class PerronData(NamedTuple):

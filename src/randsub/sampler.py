@@ -125,7 +125,7 @@ def _expand_levels(
             rows = chosen[start : start + step]
             part = packed.take(rows).view(np.uint16)
             if total < len(chosen) * width:
-                part = part[packed_mask.take(rows).view(bool)]
+                part = np.compress(packed_mask.take(rows).view(bool), part)
             word[end : end + len(part)] = part
             end += len(part)
     return word

@@ -558,6 +558,32 @@ class TestBlasThreads:
         assert (result["dataclasses"], result["fractions"]) == (False, False)
 
 
+# Run in a fresh interpreter: the induced, frequency, scan, sample and mixing
+# routes, then whether numpy.ma was loaded.  A plain np.unique loads it, which
+# costs about 9 ms of CPU in every process that calls it.
+MASKED_ARRAYS_LOADED = """
+import sys
+import randsub as rs
+fib, pd = rs.get_example("random-fibonacci"), rs.get_example("period-doubling")
+rs.induced_substitution(pd, 5)
+rs.word_frequencies(pd, 6)
+rs.unique_ergodicity_scan(fib, 4, [{"a": (0.3, 0.7)}, {"a": (0.6, 0.4)}])
+rs.frequency_report(fib, 3, 14, 7)
+rs.mixing_gaps(pd, "\\x00", "\\x01", 6)
+print("numpy.ma" in sys.modules)
+"""
+
+
+class TestNoMaskedArrays:
+    def test_frequency_routes_leave_numpy_ma_unloaded(self):
+        env = child_env({k: v for k, v in os.environ.items() if k not in THREAD_VARS})
+        proc = subprocess.run(
+            [sys.executable, "-c", MASKED_ARRAYS_LOADED],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "False"
+
+
 def cli_process(argv, stdout=subprocess.PIPE, **preset):
     """Run ``python -m randsub.cli`` (the ``run`` exit path) in a fresh interpreter."""
     return subprocess.run(

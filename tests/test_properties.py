@@ -811,6 +811,31 @@ class TestInducedPrimitivity:
                 assert rs.induced_is_primitive(rs.induced_substitution(sub, ell))
 
 
+def word_mixing_gaps(table, u, v, n_max):
+    """Reference: mixing gaps as they were before they were read on codes, by
+    decoding every legal word and testing its prefix and suffix."""
+    return tuple(
+        n for n in range(n_max + 1)
+        if any(w.startswith(u) and w.endswith(v) for w in table.words(len(u) + n + len(v)))
+    )
+
+
+class TestMixingGapsOnCodes:
+    def test_pool_and_registry_match_words(self, pool, registry):
+        checked = 0
+        for sub in pool + registry:
+            if rs.is_empty_subshift(sub):
+                continue
+            table = rs.legal_words(sub, 8)
+            legal = [w for length in (1, 2) for w in table.words(length)]
+            for u in legal:
+                for v in legal:
+                    gaps = rs.mixing_gaps(sub, u, v, 4, table=table)
+                    assert gaps == word_mixing_gaps(table, u, v, 4), (rs.serialize(sub), u, v)
+                    checked += 1
+        assert checked > 2000
+
+
 class TestCensusAndZeta:
     def test_pool_divisor_consistency_and_round_trip(self, pool):
         for sub in pool:
@@ -940,8 +965,8 @@ class TestMatrixAssembly:
         # each point's induced matrix without building the induced substitution.
         built = []
 
-        def recorded(columns, weights):
-            for m in _assemble(columns, weights):
+        def recorded(*args):
+            for m in _assemble(*args):
                 built.append(m.copy())
                 yield m
 
@@ -967,6 +992,141 @@ class TestMatrixAssembly:
                 ell, point = divmod(i, len(grid))
                 expected = rs.induced_substitution(probed[point], ell + 1, table=table).sub
                 assert np.array_equal(m, loop_substitution_matrix(expected)), (name, ell + 1)
+
+
+def dict_induced_images(sub, ell, words, weights, tails_first=False):
+    """Reference: the induced build as it was before windows became codes.  Each
+    first image is joined with each cut tail in Python, every window is looked up
+    in a dict of strings, and each window's images are merged into a dict,
+    window by window.  ``tails_first`` swaps the image and tail loops."""
+    letter = {w: chr(i) for i, w in enumerate(words)}
+    for w in words:
+        firsts = list(zip(sub.rules[ord(w[0])].images, weights[ord(w[0])]))
+        tails = randsub.induced._realisation_map(sub, w[1:], 10**8, ell - 1, weights).items()
+        pairs = [(x, p0, s, pt) for x, p0 in firsts for s, pt in tails]
+        if tails_first:
+            pairs = [(x, p0, s, pt) for s, pt in tails for x, p0 in firsts]
+        merged = {}
+        for x, p0, s, pt in pairs:
+            v = x + s
+            u = "".join([letter[v[k : k + ell]] for k in range(len(x))])
+            merged[u] = merged.get(u, 0.0) + p0 * pt
+        yield merged
+
+
+def add_at_matrices(merged_images):
+    """Reference: each point's matrix from merged images, with ``np.add.at`` over
+    lists of letters and weights in window, image and letter order."""
+    columns, flat = [], []
+    for merged in merged_images:
+        columns.append("".join(merged))
+        flat += [p for image, p in merged.items() for _ in image]
+    n = len(columns)
+    rows = np.fromiter(map(ord, "".join(columns)), dtype=np.intp)
+    cols = np.repeat(np.arange(n), list(map(len, columns)))
+    for point_weights in np.array(flat, dtype=float).reshape(len(rows), -1).T:
+        m = np.zeros((n, n))
+        np.add.at(m, (rows, cols), point_weights)
+        yield m
+
+
+def array_induced_matrices(sub, words, weights):
+    index, entry_weights, _ = randsub.induced._induced_entries(sub, words, weights, 10**8)
+    return _assemble(index, entry_weights, len(words))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype == np.float64 and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def grid_weights(points):
+    """Per letter, the (images, P) probability array of P same-support points,
+    as the ergodicity scan weighs them."""
+    by_letter = zip(*[[rule.probabilities for rule in p.rules] for p in points])
+    return [np.array(probabilities).T for probabilities in by_letter]
+
+
+TRIBONACCI_SPEC = "alphabet: a b c\nrule a -> ab\nrule b -> ac\nrule c -> a\n"
+DIFFERENTIAL_ELL = 7
+
+
+@pytest.fixture(scope="module")
+def induced_cases(pool, registry):
+    """(sub, table, ell, words, one-point weights, three-point weights) for every
+    non-empty pool and registry substitution at ell 1-7 with seeded non-dyadic
+    probabilities, and tribonacci at ell 40, where codes are Python ints."""
+    rng = random.Random(0xA55A)
+    cases = []
+    for sub in pool + registry:
+        if rs.is_empty_subshift(sub):
+            continue
+        table = rs.legal_words(sub, DIFFERENTIAL_ELL)
+        probed = [non_dyadic(sub, rng) for _ in range(4)]
+        for ell in range(1, DIFFERENTIAL_ELL + 1):
+            words = randsub.induced._windows(sub, ell, table, 10**8)
+            one = [rule.probabilities for rule in probed[0].rules]
+            cases.append((probed[0], table, ell, words, one, grid_weights(probed[1:])))
+    tribonacci = rs.parse_spec(TRIBONACCI_SPEC)
+    words = randsub.induced._windows(tribonacci, 40, None, 10**8)
+    assert code_dtype(code_base(3), 40 + 1) is object
+    one = [rule.probabilities for rule in tribonacci.rules]
+    cases.append((tribonacci, None, 40, words, one, grid_weights([tribonacci] * 3)))
+    return cases
+
+
+@pytest.fixture
+def shared_tail_maps(monkeypatch):
+    """Cut tail maps memoised for one case, so that the array build and the dict
+    reference, which both read them from ``_realisation_map``, expand each once;
+    clear it between cases."""
+    cache = {}
+
+    def memoised(sub, word, budget, keep=None, weights=None):
+        key = (id(sub), word, keep, tuple(map(id, weights)))
+        if key not in cache:  # the entry holds sub and weights, so their ids stay theirs
+            cache[key] = (sub, list(weights), _realisation_map(sub, word, budget, keep, weights))
+        return cache[key][2]
+
+    monkeypatch.setattr(randsub.induced, "_realisation_map", memoised)
+    return cache
+
+
+class TestArrayInducedBuild:
+    """The induced build on integer codes against the dict join it replaced:
+    every matrix bit for bit at one and three points, and every induced rule's
+    images, key order and probability bits."""
+
+    def test_matches_dict_build(self, induced_cases, shared_tail_maps):
+        for sub, table, ell, words, one, three in induced_cases:
+            shared_tail_maps.clear()
+            merged = list(dict_induced_images(sub, ell, words, one))
+            ind = rs.induced_substitution(sub, ell, table=table, budget=10**8)
+            assert ind.words == words and len(ind.sub.rules) == len(merged)
+            for j, (rule, images) in enumerate(zip(ind.sub.rules, merged)):
+                assert rule.source == j and rule.images == tuple(images), (rs.serialize(sub), ell)
+                got, want = np.array(rule.probabilities), np.array(list(images.values()))
+                assert same_bits(got, want), (rs.serialize(sub), ell, j)
+            for weights in (one, three):
+                images = merged if weights is one else dict_induced_images(sub, ell, words, three)
+                built = zip(array_induced_matrices(sub, words, weights), add_at_matrices(images))
+                for point, (m, ref) in enumerate(built):
+                    assert same_bits(m, ref), (rs.serialize(sub), ell, point)
+                assert point == (0 if weights is one else 2)
+
+    def test_loop_order_is_observed(self, induced_cases, shared_tail_maps):
+        # Iterating tails before images reorders images and resums matrix
+        # entries; the comparisons above must see both.
+        reordered = resummed = 0
+        for sub, table, ell, words, one, _ in induced_cases:
+            if ell > 5:
+                continue
+            shared_tail_maps.clear()
+            swapped = list(dict_induced_images(sub, ell, words, one, tails_first=True))
+            ind = rs.induced_substitution(sub, ell, table=table, budget=10**8)
+            reordered += any(r.images != tuple(m) for r, m in zip(ind.sub.rules, swapped))
+            m = next(array_induced_matrices(sub, words, one))
+            resummed += not same_bits(m, next(add_at_matrices(swapped)))
+        assert reordered > 0 and resummed > 0
 
 
 class TestOneProductPerStep:
