@@ -396,37 +396,20 @@ def _within_power(
     )
 
 
-def _realisation_map(
-    sub: RandomSubstitution, word: Word, budget: int, keep: int | None = None, weights=None
-) -> dict[Word, float]:
+def _realisation_map(sub: RandomSubstitution, word: Word, budget: int) -> dict[Word, float]:
     """Distinct realisations of the image of ``word`` with aggregated
-    probabilities, keyed in lexicographic order of per-letter choices.
-    ``weights``, one sequence per letter, replaces the rules' probabilities.
-
-    ``keep`` cuts each partial to its first ``keep`` letters as it grows, and
-    the expansion stops once the shortest images of the letters expanded so far
-    reach ``keep`` letters: every partial is then full, so each later letter
-    would rebuild the same keys in the same order, with the same count against
-    the budget, times a probability sum that is 1 in exact arithmetic.  The
-    summed probabilities can therefore differ by a few ulps from those of the
-    full expansion."""
+    probabilities, keyed in lexicographic order of per-letter choices."""
     partial: dict[Word, float] = {"": 1.0}
-    reach = 0  # the length every partial has reached, before the cut
     for position, c in enumerate(word, start=1):
         rule = sub.rules[ord(c)]
-        probabilities = rule.probabilities if weights is None else weights[ord(c)]
         grown: dict[Word, float] = {}
         for prefix, acc in partial.items():
-            for image, p in zip(rule.images, probabilities):
-                joined = (prefix + image)[:keep]
+            for image, p in zip(rule.images, rule.probabilities):
+                joined = prefix + image
                 grown[joined] = grown.get(joined, 0.0) + acc * p
         if len(grown) > budget:
             raise _image_budget_error(word, position, len(grown), budget)
         partial = grown
-        if keep is not None:
-            reach += min(map(len, rule.images))
-            if reach >= keep:
-                break
     return partial
 
 

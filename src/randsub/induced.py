@@ -12,9 +12,11 @@ letter frequencies at ell = 1; scanning it over several probability
 assignments and window lengths is a finite test for unique ergodicity:
 any variation disproves it, while agreement at finite depth proves
 nothing and is reported as such.  ``_induced_entries`` builds the induced
-matrices on the language codec's integer codes, as entries in one fixed order,
-and ``_perron_rights`` is the one route from probabilities to Perron vectors:
-it holds the stack cap and the M + I shift.
+matrices on the language codec's integer codes, as entries in one fixed order;
+``_tail_maps`` expands every distinct tail of a window length in one array pass
+on packed codes b^len + code, with no dict or string per tail or key.
+``_perron_rights`` is the one route from probabilities to Perron vectors: it
+holds the stack cap and the M + I shift.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .core import (
     RandomSubstitution,
     Rule,
     Word,
-    _realisation_map,
+    _image_budget_error,
     letter_counts,
     with_probabilities,
 )
@@ -73,6 +75,87 @@ def _windows(
     return legal_words(sub, ell, table=table, budget=budget).words(ell)
 
 
+def _first_occurrences(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the key columns in first-occurrence order: each one's first
+    row, ascending, and each row's distinct-row number."""
+    order = np.lexsort(keys[::-1])  # stable, so each run of equal rows starts at its first
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    if new.all():  # nothing merges
+        order = np.arange(len(order))
+        return order, order
+    firsts = order[new]
+    by_first = np.argsort(firsts)
+    number = np.empty(len(order), dtype=np.intp)
+    number[order] = np.argsort(by_first)[np.cumsum(new) - 1]  # the inverse permutation
+    return firsts[by_first], number
+
+
+def _image_table(sub: RandomSubstitution, weights: list, base: int, dtype: type):
+    """Every image of every letter, in rule order: each letter's first image and
+    arity, and per image its code, its length and its weights (images, P)."""
+    images = [x for rule in sub.rules for x in rule.images]
+    arity = np.array([rule.arity for rule in sub.rules])
+    code = np.array([encode_word(x, base) for x in images], dtype=dtype)
+    p = np.concatenate([np.reshape(w, (len(w), -1)) for w in weights])
+    return np.cumsum(arity) - arity, arity, code, np.array(list(map(len, images))), p
+
+
+def _tail_maps(
+    sub: RandomSubstitution, tails: np.ndarray, keep: int, weights: list, budget: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cut realisation maps of the rows of ``tails`` (T, m letters) in one array
+    pass: per key its tail, ascending, its packed code b^len + code and its weights
+    (keys, P), ``weights`` holding per letter floats or (images, P).  Per position,
+    every live partial is repeated by its letter's arity, joined with each image and
+    cut to ``keep`` letters; equal (tail, key) pairs merge in first-occurrence order
+    and sum their acc * p in that order, so keys, key order and weight bits are those
+    of expanding each tail alone in a dict.  A tail stops once its letters' shortest
+    images reach ``keep`` letters: every partial is then full, and later letters only
+    multiply by probability sums that are 1 in exact arithmetic.  A budget error names
+    the first tail with more than ``budget`` keys, at its first such position."""
+    base, (count, m) = code_base(sub.n_letters), tails.shape
+    dtype = code_dtype(base, keep + sub.max_image_len + 1)
+    pows = np.array([base**k for k in range(keep + sub.max_image_len + 1)], dtype=dtype)
+    first, arity, image_code, image_len, p = _image_table(sub, weights, base, dtype)
+    shortest = np.array([min(map(len, rule.images)) for rule in sub.rules])
+    stop = np.minimum((np.cumsum(shortest[tails], axis=1) < keep).sum(axis=1) + 1, m)
+    owner, packed = np.arange(count), np.ones(count, dtype=dtype)  # the empty word
+    length, acc = np.zeros(count, dtype=np.intp), np.ones((count, p.shape[1]))
+    finished, failed = [], (count, 0, 0)  # (tail, position, keys) of the first failure
+    for position in range(1, int(stop.max(initial=0)) + 1):
+        letter = tails[owner, position - 1]
+        fan = arity[letter]
+        row = np.repeat(np.arange(len(owner)), fan)
+        image = np.repeat(first[letter] - np.cumsum(fan) + fan, fan) + np.arange(len(row))
+        grown = image_len[image]
+        owner, acc = owner[row], acc[row] * p[image]
+        packed = packed[row] * pows[grown] + image_code[image]
+        length = length[row] + grown
+        cut = length > keep
+        packed[cut] //= pows[length[cut] - keep]
+        firsts, key = _first_occurrences(owner, packed)
+        acc = np.array([np.bincount(key, column, len(firsts)) for column in acc.T]).T
+        owner, packed, length = owner[firsts], packed[firsts], np.minimum(length, keep)[firsts]
+        sizes = np.bincount(owner, minlength=count)
+        if sizes.max() > budget:  # later tails no longer count; earlier ones may still fail
+            tail = int(np.argmax(sizes > budget))
+            failed = (tail, position, int(sizes[tail]))
+        done = (stop[owner] == position) | (owner >= failed[0])
+        finished.append((owner[done], packed[done], acc[done]))
+        owner, packed, length, acc = owner[~done], packed[~done], length[~done], acc[~done]
+    tail, position, size = failed
+    if tail < count:  # the message reads only the tail's length
+        raise _image_budget_error(tails[tail], position, size, budget)
+    finished.append((owner, packed, acc))
+    owner, packed, acc = (np.concatenate(column) for column in zip(*finished))
+    order = np.argsort(owner, kind="stable")
+    return owner[order], packed[order], acc[order]
+
+
 def _induced_entries(
     sub: RandomSubstitution, words: tuple[Word, ...], weights: list, budget: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,35 +165,30 @@ def _induced_entries(
     entry per letter, by window, image, tail, then letter.  No two (x, s) give the same
     image, so nothing merges: a rule's images are distinct (``Rule.validate``) and cut
     tails are distinct keys of ell - 1 letters, so x + s gives (x, s), and the windows
-    cover x + s.  ``weights`` holds per letter floats, or (images, P) for P points."""
+    cover x + s.  The distinct tails are expanded together, in order of first window.
+    ``weights`` holds per letter floats, or (images, P) for P points."""
     base, ell, n = code_base(sub.n_letters), len(words[0]), len(words)
     dtype = code_dtype(base, ell - 1 + sub.max_image_len)
     pows = np.array([base**k for k in range(ell + sub.max_image_len)], dtype=dtype)
-    tails, keys, pt = {}, [], []  # tail: (first key, key count); a letter 0 before each key
-    for w in words:
-        if w[1:] not in tails:
-            tail_map = _realisation_map(sub, w[1:], budget, ell - 1, weights)
-            tails[w[1:]] = (len(pt), len(tail_map))
-            keys.append("\0" + "\0".join(tail_map))
-            pt += tail_map.values()
-    tail_start, tail_size = np.array([tails[w[1:]] for w in words]).T
-    pt = np.reshape(pt, (len(pt), -1))
-    codes = np.frombuffer(("".join(keys) + "".join(words)).encode("utf-32-le"), dtype="<u4")
-    codes = encode_rows(codes.reshape(-1, ell), base, dtype)  # keys', then windows', ell letters
-    tail_codes, window_codes = codes[: len(pt)], codes[len(pt) :]
-    images = [x for rule in sub.rules for x in rule.images]
-    first = np.cumsum([0] + [rule.arity for rule in sub.rules])
-    p0 = np.concatenate([np.reshape(w, (len(w), -1)) for w in weights])
+    letters = np.frombuffer("".join(words).encode("utf-32-le"), dtype="<u4").reshape(n, ell)
+    window_codes = encode_rows(letters, base, dtype)
+    firsts, tail_of = _first_occurrences(window_codes % pows[ell - 1])
+    owner, keys, pt = _tail_maps(sub, letters[firsts, 1:], ell - 1, weights, budget)
+    tail_codes = (keys - base ** (ell - 1)).astype(dtype)  # every key has ell - 1 letters
+    tail_size = np.bincount(owner, minlength=len(firsts))
+    tail_start = (np.cumsum(tail_size) - tail_size)[tail_of]
+    tail_size = tail_size[tail_of]
+    first, arity, image_code, length, p0 = _image_table(sub, weights, base, dtype)
     # one row per (window, image, tail), and x + s as code(x) * b^(ell - 1) + code(s)
-    letter = np.array([ord(w[0]) for w in words], dtype=np.intp)
-    count = (first[letter + 1] - first[letter]) * tail_size
+    letter = letters[:, 0]
+    count = arity[letter] * tail_size
     window = np.repeat(np.arange(n), count)
     q = np.arange(len(window)) - np.repeat(np.cumsum(count) - count, count)
     image = first[letter][window] + q // tail_size[window]
     tail = tail_start[window] + q % tail_size[window]
-    length = np.array(list(map(len, images)))[image]
+    length = length[image]
     weight = np.repeat(0.0 + p0[image] * pt[tail], length, axis=0)
-    joined = np.array([encode_word(x, base) for x in images], dtype=dtype)[image] * pows[ell - 1]
+    joined = image_code[image] * pows[ell - 1]
     joined += tail_codes[tail]
     del q, image, tail  # the loop below is the peak; hold no more there than it reads
     starts, index = np.cumsum(length) - length, np.repeat(window, length)

@@ -16,9 +16,12 @@ equal-size matrices, one per probability assignment: each step takes one
 stacked product ``np.matmul(ms, x[:, :, None])`` for every point not yet
 converged, which is the same BLAS matrix-vector product per matrix as
 ``m @ x``, so each point's result is bit for bit that of iterating its
-matrix alone.  A single matrix is iterated as the view ``m[None]`` and is
-never copied.  ``perron_data`` runs it on one explicit matrix; the stack cap
-and the M + I shift for degenerate probabilities live in ``induced._perron_rights``.
+matrix alone.  A step's lambda, the sum of its product, is the next step's
+normaliser, and the residual is computed only on steps where some point's
+change has already fallen below tol / 8.  A single matrix is iterated as the
+view ``m[None]`` and is never copied.  ``perron_data`` runs it on one explicit
+matrix; the stack cap and the M + I shift for degenerate probabilities live in
+``induced._perron_rights``.
 """
 
 from __future__ import annotations
@@ -169,18 +172,20 @@ def _power_iterates(
     live = np.arange(p)
     x = np.full((p, n), 1.0 / n)
     y = np.matmul(ms, x[:, :, None])[:, :, 0]
+    lam = y.sum(axis=1)
     # Converge a little past tol so downstream identities hold at tol.
     target = tol / 8.0
     for it in range(1, cap + 1):
-        total = y.sum(axis=1)
-        if (total <= 0.0).any():
-            point = int(live[(total <= 0.0).argmax()])
+        if lam.min() <= 0.0:
+            point = int(live[(lam <= 0.0).argmax()])
             raise NoConvergenceError("power iteration collapsed to the zero vector", point)
-        y /= total[:, None]
+        y /= lam[:, None]
         delta = np.abs(y - x).max(axis=1)
         x = y
         y = np.matmul(ms, x[:, :, None])[:, :, 0]
         lam = y.sum(axis=1)
+        if not delta.min() < target:
+            continue
         residual = np.abs(y - lam[:, None] * x).max(axis=1)
         done = (delta < target) & (residual <= tol * np.maximum(1.0, lam) / 2.0)
         if done.any():
@@ -189,7 +194,7 @@ def _power_iterates(
             if done.all():
                 return results
             keep = ~done
-            live, ms, x, y = live[keep], ms[keep], x[keep], y[keep]
+            live, ms, x, y, lam = live[keep], ms[keep], x[keep], y[keep], lam[keep]
     raise NoConvergenceError(f"power iteration did not converge in {cap} steps", int(live[0]))
 
 

@@ -16,6 +16,7 @@ import randsub.matrices
 import randsub.sampler
 from conftest import seed_for_draw
 from randsub.core import _image_budget_error, _realisation_map, power_realisation_words
+from randsub.induced import _tail_maps
 from randsub.language import code_base, code_dtype, decode_codes, encode_rows
 from randsub.matrices import DEFAULT_PF_TOL, PF_ITERATION_CAP, _assemble, _power_iterates
 from randsub.sampler import _expand_levels, _window_counts, stream_u01
@@ -511,24 +512,26 @@ class TestInducedTailMaps:
         "name, tails", [("random-fibonacci", 510), ("period-doubling", 695)]
     )
     def test_one_map_per_distinct_tail(self, monkeypatch, name, tails):
-        # These languages have 851 and 1,198 windows of length 12.
+        # These languages have 851 and 1,198 windows of length 12; their
+        # distinct tails enter the engine once, in one pass.
         sub = rs.get_example(name)
         table = rs.legal_words(sub, 12)
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return _realisation_map(*args, **kwargs)
+        def counted(sub, rows, *args):
+            calls.append(rows.tolist())
+            return _tail_maps(sub, rows, *args)
 
-        monkeypatch.setattr(randsub.induced, "_realisation_map", counted)
+        monkeypatch.setattr(randsub.induced, "_tail_maps", counted)
         ind = rs.induced_substitution(sub, 12, table=table)
-        assert len(calls) == tails
-        assert set(calls) == {w[1:] for w in ind.words}
+        (rows,) = calls
+        assert len(rows) == tails
+        assert {"".join(map(chr, row)) for row in rows} == {w[1:] for w in ind.words}
 
 
 def full_realisation_map(sub, word, budget, keep=None, weights=None):
-    """Reference: ``_realisation_map`` as it was before tails stopped once
-    full, expanding every letter of ``word``."""
+    """Reference: the cut tail map as it was before tails stopped once full,
+    expanding every letter of ``word``."""
     partial = {"": 1.0}
     for position, c in enumerate(word, start=1):
         rule = sub.rules[ord(c)]
@@ -544,6 +547,63 @@ def full_realisation_map(sub, word, budget, keep=None, weights=None):
     return partial
 
 
+def cut_realisation_map(sub, word, budget, keep, weights=None):
+    """Reference: the cut tail map as it was expanded in a dict of strings, one
+    tail at a time, before tails became packed codes.  Each partial is cut to
+    its first ``keep`` letters as it grows, and the expansion stops once the
+    shortest images of the letters expanded so far reach ``keep`` letters."""
+    partial = {"": 1.0}
+    reach = 0  # the length every partial has reached, before the cut
+    for position, c in enumerate(word, start=1):
+        rule = sub.rules[ord(c)]
+        probabilities = rule.probabilities if weights is None else weights[ord(c)]
+        grown = {}
+        for prefix, acc in partial.items():
+            for image, p in zip(rule.images, probabilities):
+                joined = (prefix + image)[:keep]
+                grown[joined] = grown.get(joined, 0.0) + acc * p
+        if len(grown) > budget:
+            raise _image_budget_error(word, position, len(grown), budget)
+        partial = grown
+        reach += min(map(len, rule.images))
+        if reach >= keep:
+            break
+    return partial
+
+
+def decode_packed(packed, base):
+    """Words from packed codes b^len + code, of any lengths."""
+    words = []
+    for code in packed.tolist():
+        letters = []
+        while code > 1:
+            code, digit = divmod(code, base)
+            letters.append(chr(digit))
+        words.append("".join(reversed(letters)))
+    return words
+
+
+def engine_maps(sub, words, keep, weights=None, budget=10**8):
+    """``_tail_maps`` over words of one length in one pass: per word a dict from
+    each decoded key to its weights, one per point."""
+    if weights is None:
+        weights = [rule.probabilities for rule in sub.rules]
+    rows = np.array([list(map(ord, w)) for w in words], dtype=np.uint32)
+    rows = rows.reshape(len(words), len(words[0]))
+    owner, packed, acc = _tail_maps(sub, rows, keep, weights, budget)
+    keys = decode_packed(packed, code_base(sub.n_letters))
+    maps = [{} for _ in words]
+    for tail, key, values in zip(owner.tolist(), keys, acc):
+        maps[tail][key] = values
+    return maps
+
+
+def map_values(realisation_map, points):
+    """A map's weights as a (keys, points) array; a dict's lone 1.0 stands for every point."""
+    values = np.array(list(realisation_map.values()), dtype=float)
+    return np.broadcast_to(values.reshape(len(values), -1), (len(values), points))
+
+
 def realisation_map_outcome(realisation_map, *args):
     """The map, or the text of its budget error."""
     try:
@@ -552,20 +612,29 @@ def realisation_map_outcome(realisation_map, *args):
         return str(exc)
 
 
+def by_length(words):
+    """The words grouped by length, each group in the given order."""
+    groups = {}
+    for word in words:
+        groups.setdefault(len(word), []).append(word)
+    return list(groups.values())
+
+
 def assert_early_stop_matches(sub, words, weights=None):
     """Same keys in the same order, and sums within a few ulps, at every
     ``keep`` from 1 to 8; returns how many maps stopped before the last letter."""
     stopped = 0
     shortest = [min(map(len, rule.images)) for rule in sub.rules]
-    for word in words:
+    points = 1 if weights is None else len(weights[0][0])
+    for group in by_length(words):
         for keep in range(1, 9):
-            got = _realisation_map(sub, word, 10**8, keep, weights)
-            want = full_realisation_map(sub, word, 10**8, keep, weights)
-            assert list(got) == list(want), (rs.serialize(sub), word, keep)
-            np.testing.assert_allclose(
-                np.array(list(got.values())), np.array(list(want.values())), rtol=1e-14, atol=0
-            )
-            stopped += sum(shortest[ord(c)] for c in word[:-1]) >= keep
+            for word, got in zip(group, engine_maps(sub, group, keep, weights)):
+                want = full_realisation_map(sub, word, 10**8, keep, weights)
+                assert list(got) == list(want), (rs.serialize(sub), word, keep)
+                np.testing.assert_allclose(
+                    map_values(got, points), map_values(want, points), rtol=1e-14, atol=0
+                )
+                stopped += sum(shortest[ord(c)] for c in word[:-1]) >= keep
     return stopped
 
 
@@ -609,15 +678,80 @@ class TestTailEarlyStop:
             for word in seeded_words(sub, rng, per_length=1):
                 for keep in (1, 2, 3, 5, 8):
                     for budget in (1, 2, 3, 5, 8):
-                        args = (sub, word, budget, keep)
-                        got = realisation_map_outcome(_realisation_map, *args)
-                        want = realisation_map_outcome(full_realisation_map, *args)
+                        got = realisation_map_outcome(
+                            lambda: engine_maps(sub, [word], keep, budget=budget)[0]
+                        )
+                        want = realisation_map_outcome(
+                            full_realisation_map, sub, word, budget, keep
+                        )
                         if isinstance(want, str):
                             assert got == want, (rs.serialize(sub), word, keep, budget)
                             raised += 1
                         else:
                             assert list(got) == list(want), (rs.serialize(sub), word, keep)
         assert raised > 100
+
+
+def cut_maps_outcome(sub, words, keep, weights, budget):
+    """The reference maps of ``words`` expanded one after another, or the
+    text of the first budget error."""
+    return realisation_map_outcome(
+        lambda: [cut_realisation_map(sub, w, budget, keep, weights) for w in words]
+    )
+
+
+def assert_engine_matches_cut_maps(sub, words, keep, weights, budget=10**8):
+    """One engine pass over ``words`` against the reference, tail by tail: the
+    same keys in the same order and the same weight bits, or the same budget
+    error; returns whether it raised."""
+    points = 1 if weights is None else len(np.reshape(weights[0][0], -1))
+    got = realisation_map_outcome(lambda: engine_maps(sub, words, keep, weights, budget))
+    want = cut_maps_outcome(sub, words, keep, weights, budget)
+    if isinstance(want, str):
+        assert got == want, (rs.serialize(sub), words, keep, budget)
+        return True
+    for word, got_map, want_map in zip(words, got, want):
+        assert list(got_map) == list(want_map), (rs.serialize(sub), word, keep)
+        got_values, want_values = map_values(got_map, points), map_values(want_map, points)
+        assert same_bits(got_values, want_values), (rs.serialize(sub), word, keep)
+    return False
+
+
+class TestTailMapEngine:
+    """The tail maps of one window length, expanded together on packed codes,
+    against the dict expansion of each tail: keys, key order, weight bits and
+    budget errors, at one and three points and every ``keep`` from 0 to 8."""
+
+    def test_pool_and_registry(self, pool, registry):
+        rng = random.Random(0x7A14)
+        for sub in pool + registry:
+            probed = non_dyadic(sub, rng)
+            one = [rule.probabilities for rule in probed.rules]
+            three = grid_weights([non_dyadic(sub, rng) for _ in range(3)])
+            for group in by_length(seeded_words(sub, rng, max_length=5, per_length=3)):
+                for keep in range(0, 9):
+                    for weights in (one, three):
+                        assert_engine_matches_cut_maps(probed, group, keep, weights)
+
+    def test_budget_errors_name_the_first_failing_tail(self, pool, registry):
+        # Tails fail at different positions; the error must be the first
+        # failing tail's, at its first failing position.
+        rng = random.Random(0x7A15)
+        raised = 0
+        for sub in [*pool[:40], *registry]:
+            for group in by_length(seeded_words(sub, rng, max_length=6, per_length=4)):
+                for keep in (0, 2, 4, 8):
+                    for budget in (1, 2, 3, 5, 8):
+                        raised += assert_engine_matches_cut_maps(sub, group, keep, None, budget)
+        assert raised > 100
+
+    def test_tribonacci_at_ell_40(self):
+        # 3^(39 + 2 + 1) >= 2^62, so the engine runs on Python-int codes
+        tribonacci = rs.parse_spec(TRIBONACCI_SPEC)
+        assert code_dtype(code_base(3), 39 + tribonacci.max_image_len + 1) is object
+        tails = list(dict.fromkeys(w[1:] for w in rs.legal_words(tribonacci, 40).words(40)))
+        for weights in (None, grid_weights([tribonacci] * 3)):
+            assert_engine_matches_cut_maps(tribonacci, tails, 39, weights)
 
 
 def loop_witness(sub, ell_max, grid, tol=1e-6):
@@ -994,23 +1128,33 @@ class TestMatrixAssembly:
                 assert np.array_equal(m, loop_substitution_matrix(expected)), (name, ell + 1)
 
 
-def dict_induced_images(sub, ell, words, weights, tails_first=False):
+def dict_induced_images(sub, ell, words, points, tails_first=False):
     """Reference: the induced build as it was before windows became codes.  Each
     first image is joined with each cut tail in Python, every window is looked up
     in a dict of strings, and each window's images are merged into a dict,
-    window by window.  ``tails_first`` swaps the image and tail loops."""
+    window by window; per window, one merged dict per point of ``points``, each
+    point's per-letter probabilities as Python floats.  ``tails_first`` swaps the
+    image and tail loops."""
     letter = {w: chr(i) for i, w in enumerate(words)}
+    tail_maps = {}
     for w in words:
-        firsts = list(zip(sub.rules[ord(w[0])].images, weights[ord(w[0])]))
-        tails = randsub.induced._realisation_map(sub, w[1:], 10**8, ell - 1, weights).items()
-        pairs = [(x, p0, s, pt) for x, p0 in firsts for s, pt in tails]
+        if w[1:] not in tail_maps:
+            tail_maps[w[1:]] = [
+                cut_realisation_map(sub, w[1:], 10**8, ell - 1, weights) for weights in points
+            ]
+        maps = tail_maps[w[1:]]
+        firsts = list(enumerate(sub.rules[ord(w[0])].images))
+        pairs = [(q, x, s) for q, x in firsts for s in maps[0]]
         if tails_first:
-            pairs = [(x, p0, s, pt) for s, pt in tails for x, p0 in firsts]
-        merged = {}
-        for x, p0, s, pt in pairs:
-            v = x + s
-            u = "".join([letter[v[k : k + ell]] for k in range(len(x))])
-            merged[u] = merged.get(u, 0.0) + p0 * pt
+            pairs = [(q, x, s) for s in maps[0] for q, x in firsts]
+        windows = [
+            "".join([letter[(x + s)[k : k + ell]] for k in range(len(x))]) for _, x, s in pairs
+        ]
+        merged = [{} for _ in points]
+        for images, weights, tail_map in zip(merged, points, maps):
+            p0 = weights[ord(w[0])]
+            for (q, _, s), u in zip(pairs, windows):
+                images[u] = images.get(u, 0.0) + p0[q] * tail_map[s]
         yield merged
 
 
@@ -1074,54 +1218,39 @@ def induced_cases(pool, registry):
     return cases
 
 
-@pytest.fixture
-def shared_tail_maps(monkeypatch):
-    """Cut tail maps memoised for one case, so that the array build and the dict
-    reference, which both read them from ``_realisation_map``, expand each once;
-    clear it between cases."""
-    cache = {}
-
-    def memoised(sub, word, budget, keep=None, weights=None):
-        key = (id(sub), word, keep, tuple(map(id, weights)))
-        if key not in cache:  # the entry holds sub and weights, so their ids stay theirs
-            cache[key] = (sub, list(weights), _realisation_map(sub, word, budget, keep, weights))
-        return cache[key][2]
-
-    monkeypatch.setattr(randsub.induced, "_realisation_map", memoised)
-    return cache
-
-
 class TestArrayInducedBuild:
     """The induced build on integer codes against the dict join it replaced:
     every matrix bit for bit at one and three points, and every induced rule's
     images, key order and probability bits."""
 
-    def test_matches_dict_build(self, induced_cases, shared_tail_maps):
+    def test_matches_dict_build(self, induced_cases):
         for sub, table, ell, words, one, three in induced_cases:
-            shared_tail_maps.clear()
-            merged = list(dict_induced_images(sub, ell, words, one))
+            # The dict reference runs once per point on Python floats: the same
+            # IEEE operations, elementwise, as on the points' weight arrays.
+            points = [one] + [[w[:, k].tolist() for w in three] for k in range(3)]
+            by_point = list(zip(*dict_induced_images(sub, ell, words, points)))
+            merged = by_point[0]
             ind = rs.induced_substitution(sub, ell, table=table, budget=10**8)
             assert ind.words == words and len(ind.sub.rules) == len(merged)
             for j, (rule, images) in enumerate(zip(ind.sub.rules, merged)):
                 assert rule.source == j and rule.images == tuple(images), (rs.serialize(sub), ell)
                 got, want = np.array(rule.probabilities), np.array(list(images.values()))
                 assert same_bits(got, want), (rs.serialize(sub), ell, j)
-            for weights in (one, three):
-                images = merged if weights is one else dict_induced_images(sub, ell, words, three)
-                built = zip(array_induced_matrices(sub, words, weights), add_at_matrices(images))
-                for point, (m, ref) in enumerate(built):
+            for weights, references in ((one, by_point[:1]), (three, by_point[1:])):
+                built = array_induced_matrices(sub, words, weights)
+                for point, (m, images) in enumerate(zip(built, references)):
+                    ref = next(add_at_matrices(images))
                     assert same_bits(m, ref), (rs.serialize(sub), ell, point)
                 assert point == (0 if weights is one else 2)
 
-    def test_loop_order_is_observed(self, induced_cases, shared_tail_maps):
+    def test_loop_order_is_observed(self, induced_cases):
         # Iterating tails before images reorders images and resums matrix
         # entries; the comparisons above must see both.
         reordered = resummed = 0
         for sub, table, ell, words, one, _ in induced_cases:
             if ell > 5:
                 continue
-            shared_tail_maps.clear()
-            swapped = list(dict_induced_images(sub, ell, words, one, tails_first=True))
+            swapped = [m for m, in dict_induced_images(sub, ell, words, [one], tails_first=True)]
             ind = rs.induced_substitution(sub, ell, table=table, budget=10**8)
             reordered += any(r.images != tuple(m) for r, m in zip(ind.sub.rules, swapped))
             m = next(array_induced_matrices(sub, words, one))
@@ -1246,6 +1375,22 @@ class TestStackedPowerIteration:
                 assert stacked.value.point == first
                 checked += first > 0
         assert checked > 0
+
+    @pytest.mark.parametrize("tol", [1e-6, DEFAULT_PF_TOL])
+    def test_collapse_names_the_point(self, induced_stacks, tol):
+        # A weighted shift is nilpotent: its iterate reaches the zero vector at
+        # step n, beside primitive points that may already have left the stack.
+        for ms in induced_stacks:
+            nilpotent = 0.5 * np.eye(ms.shape[1], k=-1)
+            with pytest.raises(rs.NoConvergenceError) as single:
+                two_product_iterate(nilpotent, tol, PF_ITERATION_CAP)
+            for k in range(len(ms) + 1):
+                stack = np.insert(ms, k, nilpotent, axis=0)
+                with pytest.raises(rs.NoConvergenceError) as stacked:
+                    _power_iterates(stack, tol, PF_ITERATION_CAP)
+                assert str(stacked.value) == str(single.value)
+                assert str(stacked.value) == "power iteration collapsed to the zero vector"
+                assert stacked.value.point == k
 
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_scan_in_small_stacks(self, monkeypatch, size):
