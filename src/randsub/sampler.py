@@ -18,20 +18,24 @@ produced.
 A letter's chosen image id is its first id plus the count of cumulative
 probabilities cum <= u, tested as ceil(cum * 2^53) <= value >> 11, which is
 exact because u is.  Each image, padded to a power of two, is one packed row:
-the next level is one gather of rows, compressed by their masks.
+the next level is a gather of rows, compressed by their masks.
 
-Memory follows the letters, not their windows.  Image choices are held in
-the smallest unsigned dtype that fits the image ids (one byte a letter for
-up to 256 images), a level's length is summed a block of choices at a time,
-and the previous level is dropped before the next is allocated.  Windows are
-encoded and counted a block at a time, and the partial counts are merged as
-they come.  A report's peak is about the final word (two bytes a letter)
-plus the previous level's choices plus one block of temporaries.
+Memory follows the image choices, not the letters.  Each level keeps only
+its choices, in the smallest unsigned dtype that fits the image ids (one
+byte a letter for up to 256 images).  The next level's letters are gathered
+from them _BLOCK at a time, and each block is drawn and chosen while it is
+in cache, so no level's letters are ever held whole; a level's length is
+summed from the previous level's choices before any of its letters exist.
+A report counts the last level's windows as its blocks are gathered.  Its
+peak is a few MB of reused block buffers and window counts plus the larger
+of the choices held while the last but one level is chosen (its own and the
+level's before) and while the last level is counted (the last but one's):
+for period doubling, 3/4 and 1/2 byte a sampled letter.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -48,9 +52,9 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _BLOCK = 1 << 16  # letters per block of a level, so that its draws stay in cache
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
+def _mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     # SplitMix64 finaliser, in place with one scratch buffer; wraparound is intended.
-    scratch = np.empty_like(z)
+    scratch = np.empty_like(z) if scratch is None else scratch
     for shift, factor in ((30, _M1), (27, _M2)):
         z ^= np.right_shift(z, np.uint64(shift), out=scratch)
         z *= factor
@@ -58,11 +62,13 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _draws(seed: int, depth: int, counters: np.ndarray) -> np.ndarray:
+def _draws(
+    seed: int, depth: int, counters: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """``value >> 11`` for the uint64 counters (position + 1) of one depth, in place."""
     counters *= GOLDEN
     counters += _mix64(np.array([(seed + (depth + 1) * _GOLDEN) & _MASK], dtype=np.uint64))[0]
-    _mix64(counters)
+    _mix64(counters, scratch)
     counters >>= np.uint64(11)
     return counters
 
@@ -72,15 +78,17 @@ def stream_u01(seed: int, depth: int, positions: np.ndarray) -> np.ndarray:
     return _draws(seed, depth, positions.astype(np.uint64) + np.uint64(1)) * 2.0**-53
 
 
-def _expand_levels(
+def _level_blocks(
     sub: RandomSubstitution, letter: int, k: int, seed: int, budget: int = DEFAULT_BUDGET
-) -> np.ndarray:
-    """The chosen realisation of the k-th image of a letter, as an array
-    of letter indices; no level longer than ``budget`` letters is built."""
+) -> Iterator[int | np.ndarray]:
+    """The length of the chosen realisation of the k-th image of a letter,
+    then its letter indices in blocks of _BLOCK (the last may be shorter),
+    each a view of a reused buffer that the next block overwrites; no level
+    longer than ``budget`` letters is begun."""
     if k < 0:
         raise ValueError("depth must be non-negative")
     images = [w for rule in sub.rules for w in rule.images]
-    lengths = np.array([len(w) for w in images], dtype=np.int64)
+    lengths = np.array([len(w) for w in images], dtype=np.intp)
     width = 1 << (int(lengths.max()) - 1).bit_length()
     # Each image padded to ``width`` letters (a power of two, since numpy
     # gathers such rows fastest) is one row, with a mask row.  Each letter
@@ -97,37 +105,82 @@ def _expand_levels(
     for a, rule in enumerate(sub.rules):
         cum[a, : rule.arity - 1] = np.cumsum(rule.probabilities[:-1])
     thresholds = np.clip(np.ceil(cum * 2.0**53), 0, 2.0**53).astype(np.uint64)
-    word = np.array([letter], dtype=np.uint16)
+    # Reused buffers, which ``take`` fills with mode="clip" (mode="raise"
+    # buffers ``out``).  A gather step of ``step`` rows holds at most _BLOCK
+    # letters, however uneven the images, and steps are joined into blocks
+    # of _BLOCK letters before they are drawn or counted.
+    step = max(1, _BLOCK // width)
+    span = max(step, _BLOCK // 8)  # chosen rows cast to intp at once
+    rows, keep = np.empty(step, packed.dtype), np.empty(step, packed_mask.dtype)
+    joined, below = np.empty(_BLOCK, np.uint16), np.empty(_BLOCK, bool)
+    index, ids = np.empty(_BLOCK, np.intp), np.empty(_BLOCK, np.intp)
+    picked = np.empty(span, np.intp)
+    draws, scratch = np.empty(_BLOCK, np.uint64), np.empty(_BLOCK, np.uint64)
+    counters = np.empty(0, np.uint64)  # 1, 2, ..., grown to the largest block so far
+
+    def gather(chosen: np.ndarray, masked: bool) -> Iterator[np.ndarray]:
+        # The next level, a step of chosen rows at a time, compressed by
+        # their mask rows unless every chosen image fills its row.
+        fill = 0
+        for start in range(0, len(chosen), span):
+            chunk = picked[: min(span, len(chosen) - start)]
+            np.copyto(chunk, chosen[start : start + span])  # take is slow on uint8 indices
+            for row in range(0, len(chunk), step):
+                picks = chunk[row : row + step]
+                part = packed.take(picks, out=rows[: len(picks)], mode="clip").view(np.uint16)
+                if masked:
+                    mask_rows = packed_mask.take(picks, out=keep[: len(picks)], mode="clip")
+                    part = part.compress(mask_rows.view(bool))
+                while fill + len(part) >= _BLOCK:
+                    joined[fill:] = part[: _BLOCK - fill]
+                    yield joined
+                    fill, part = 0, part[_BLOCK - fill :]
+                joined[fill : fill + len(part)] = part
+                fill += len(part)
+        if fill:
+            yield joined[:fill]
+
+    blocks, length = [np.array([letter], dtype=np.uint16)], 1
     for depth in range(k):
         # Inverse CDF a block at a time: the image id is the letter's first id
         # plus its count of thresholds <= v, that is, of cum <= u = v * 2^-53.
-        chosen, total = np.empty(len(word), dtype=choice), 0
-        for start in range(0, len(word), _BLOCK):
-            letters = word[start : start + _BLOCK].astype(np.intp)
-            counters = np.arange(start + 1, start + len(letters) + 1, dtype=np.uint64)
-            v = _draws(seed, depth, counters)
-            block = first[letters]
+        chosen, end, total = np.empty(length, dtype=choice), 0, 0
+        for letters in blocks:
+            n = len(letters)
+            if n > len(counters):
+                counters = np.arange(1, n + 1, dtype=np.uint64)
+            held = index[:n]
+            np.copyto(held, letters)
+            v = np.add(counters[:n], np.uint64(end), out=draws[:n])  # positions + 1
+            _draws(seed, depth, v, scratch[:n])
+            block = first.take(held, out=ids[:n], mode="clip")
             for column in thresholds[:, :-1].T:
-                block += column[letters] <= v
-            total += int(lengths.take(block).sum())
-            chosen[start : start + _BLOCK] = block
+                cut = column.take(held, out=scratch[:n], mode="clip")
+                block += np.less_equal(cut, v, out=below[:n])
+            total += int(lengths.take(block, out=held, mode="clip").sum())
+            chosen[end : end + n] = block
+            end += n
         if total > budget:
             raise BudgetExceededError(
                 f"sample of letter {sub.alphabet.letters[letter]}: {total} letters "
                 f"at level {depth + 1} of {k}",
                 budget,
             )
-        # Only the choices are read from here on.  Rows are gathered a block
-        # at a time, so that padding holds at most _BLOCK letters.
-        del word
-        word, end, step = np.empty(total, dtype=np.uint16), 0, max(1, _BLOCK // width)
-        for start in range(0, len(chosen), step):
-            rows = chosen[start : start + step]
-            part = packed.take(rows).view(np.uint16)
-            if total < len(chosen) * width:
-                part = np.compress(packed_mask.take(rows).view(bool), part)
-            word[end : end + len(part)] = part
-            end += len(part)
+        blocks, length = gather(chosen, total < length * width), total
+    yield length
+    yield from blocks
+
+
+def _expand_levels(
+    sub: RandomSubstitution, letter: int, k: int, seed: int, budget: int = DEFAULT_BUDGET
+) -> np.ndarray:
+    """The chosen realisation of the k-th image of a letter, as an array
+    of letter indices; no level longer than ``budget`` letters is built."""
+    blocks = _level_blocks(sub, letter, k, seed, budget)
+    word, end = np.empty(next(blocks), dtype=np.uint16), 0
+    for block in blocks:
+        word[end : end + len(block)] = block
+        end += len(block)
     return word
 
 
@@ -152,21 +205,26 @@ def _merge_counts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarra
     return codes[first], np.add.reduceat(counts, first)
 
 
-def _window_counts(arr: np.ndarray, ell: int, n_letters: int) -> dict[Word, int]:
-    """Counts of the length-ell windows of an array of letters < n_letters.
+def _window_counts(blocks: Iterable[np.ndarray], ell: int, n_letters: int) -> dict[Word, int]:
+    """Counts of the length-ell windows of the letters < n_letters of
+    consecutive blocks.
 
-    The windows are encoded and counted _BLOCK at a time, each block's
-    letters overlapping the previous block's by ell - 1.  Partial counts wait
-    until they hold as many codes as the merged counts, then are merged into
-    them: a merge costs at most about twice the codes waiting, and live
-    memory stays within a few times the distinct windows plus a block."""
+    Each block is joined to the ell - 1 letters before it, and its windows
+    are encoded and counted at once.  Partial counts wait until they hold as
+    many codes as the merged counts, then are merged into them: a merge
+    costs at most about twice the codes waiting, and live memory stays
+    within a few times the distinct windows plus a block."""
     base = code_base(n_letters)
     dtype = code_dtype(base, ell)
-    windows = np.lib.stride_tricks.sliding_window_view(arr, ell)
     parts, waiting = [(np.empty(0, dtype=dtype), np.empty(0, dtype=np.intp))], 0
-    for start in range(0, len(windows), _BLOCK):
-        codes = encode_rows(windows[start : start + _BLOCK], base, dtype)
-        parts.append(np.unique(codes, return_counts=True))
+    carried = np.empty(0, dtype=np.uint16)
+    for block in blocks:
+        letters = np.concatenate((carried, block))
+        carried = letters[max(0, len(letters) - ell + 1) :].copy()
+        if len(letters) < ell:
+            continue
+        windows = np.lib.stride_tricks.sliding_window_view(letters, ell)
+        parts.append(np.unique(encode_rows(windows, base, dtype), return_counts=True))
         waiting += len(parts[-1][0])
         if waiting >= len(parts[0][0]):
             parts, waiting = [_merge_counts(parts)], 0
@@ -186,7 +244,8 @@ def empirical_frequencies(word: Word, ell: int) -> dict[Word, float]:
     if len(word) < ell:
         raise WordTooShortError(f"word of length {len(word)} has no {ell}-windows")
     arr = np.frombuffer(word.encode("utf-32-le"), dtype="<u4")
-    return _frequencies(_window_counts(arr, ell, int(arr.max()) + 1), len(word) - ell + 1)
+    blocks = (arr[i : i + _BLOCK] for i in range(0, len(arr), _BLOCK))
+    return _frequencies(_window_counts(blocks, ell, int(arr.max()) + 1), len(word) - ell + 1)
 
 
 class SampleReport(NamedTuple):
@@ -224,12 +283,13 @@ def frequency_report(
     frequencies with the stationary prediction."""
     start = _letter_index(sub, 0 if start_letter is None else start_letter)
     predicted = word_frequencies(sub, ell, budget=budget)
-    arr = _expand_levels(sub, start, k, seed, budget)
-    if len(arr) < ell:
+    blocks = _level_blocks(sub, start, k, seed, budget)
+    length = next(blocks)
+    if length < ell:
         raise WordTooShortError(
-            f"sample of length {len(arr)} is shorter than ell={ell}; increase the depth"
+            f"sample of length {length} is shorter than ell={ell}; increase the depth"
         )
-    empirical = _frequencies(_window_counts(arr, ell, sub.n_letters), len(arr) - ell + 1)
+    empirical = _frequencies(_window_counts(blocks, ell, sub.n_letters), length - ell + 1)
     expected = predicted.as_dict()
     deviation = max(
         abs(empirical.get(w, 0.0) - expected.get(w, 0.0))
@@ -240,7 +300,7 @@ def frequency_report(
         start_letter=start,
         depth=k,
         ell=ell,
-        sample_length=int(len(arr)),
+        sample_length=length,
         empirical=empirical,
         predicted=predicted,
         max_abs_deviation=deviation,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import randsub as rs
@@ -46,3 +48,16 @@ def seed_for_draw(v: int) -> int:
     golden = 0x9E3779B97F4A7C15
     key = (unmix64(v << 11) - golden) % 2**64
     return (unmix64(key) - golden) % 2**64
+
+
+def traced_peak(run):
+    """Bytes traced by tracemalloc (numpy's buffers included) at the peak of
+    ``run()``, above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

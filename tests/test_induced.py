@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ import pytest
 import randsub as rs
 import randsub.induced
 import randsub.matrices
+from conftest import traced_peak
 
 TAU = (1 + math.sqrt(5)) / 2
 
@@ -324,19 +324,6 @@ def perfbench_grid(seed):
     rng = random.Random(seed)
     percents = [10 + 5 * i + rng.randrange(5) for i in range(16)]
     return [{"a": (k / 100, (100 - k) / 100), "b": (1.0,)} for k in percents]
-
-
-def traced_peak(run):
-    """Bytes traced by tracemalloc (numpy's buffers included) at the peak of
-    ``run()``, above what was held before it."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 class TestTracedPeaks:

@@ -1601,16 +1601,22 @@ def whole_array_window_counts(arr, ell, n_letters):
     return dict(zip(decode_codes(values, ell, base), counts.tolist()))
 
 
+def array_blocks(arr):
+    """Consecutive slices of _BLOCK letters, as the counter takes them."""
+    block = randsub.sampler._BLOCK
+    return [arr[i : i + block] for i in range(0, len(arr), block)]
+
+
 def assert_window_counts_agree(arr, ell, n_letters):
-    got = _window_counts(arr, ell, n_letters)
+    got = _window_counts(array_blocks(arr), ell, n_letters)
     want = whole_array_window_counts(arr, ell, n_letters)
     assert got == want, (len(arr), ell)
     assert list(got) == list(want), (len(arr), ell)
 
 
 class TestBlockwiseWindowCounts:
-    """The blockwise window counter against the whole-array one, with blocks
-    small enough that every edge is crossed."""
+    """The blockwise window counter against the whole-array one, fed slices
+    of _BLOCK letters, with blocks small enough that every edge is crossed."""
 
     @pytest.fixture(params=(5, 64))
     def block(self, request, monkeypatch):
@@ -1678,3 +1684,33 @@ class TestBlockwiseWindowCounts:
                 for ell in (1, 2, 5):
                     if len(arr) >= ell:
                         assert_window_counts_agree(arr, ell, sub.n_letters)
+
+
+class TestStreamedWindowCounts:
+    """A report counts the last level's blocks as they are gathered; its
+    counts must be those of the joined sample.  With blocks of 5 and 64
+    letters, windows up to 2 * block + 3 letters cross many blocks, and some
+    blocks are shorter than a window."""
+
+    @pytest.fixture(params=(5, 64))
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(randsub.sampler, "_BLOCK", request.param)
+        # The prediction is not under test, and at ell 131 it is out of reach.
+        empty = rs.FrequencyVector(ell=0, words=(), values=())
+        monkeypatch.setattr(randsub.sampler, "word_frequencies", lambda *a, **kw: empty)
+        return request.param
+
+    def test_hand_spec_reports(self, block):
+        for text, depths in HAND_SAMPLER_SPECS:
+            sub = rs.parse_spec(text)
+            for letter in range(sub.n_letters):
+                for depth, seed in ((depths[1], 0), (depths[1], 1), (depths[1] + 2, 1)):
+                    word = rs.sample_realisation(sub, letter, depth, seed)
+                    for ell in (1, 2, 3, block, block + 1, 2 * block + 3):
+                        if len(word) < ell:
+                            continue
+                        report = rs.frequency_report(sub, ell, depth, seed, letter)
+                        want = rs.empirical_frequencies(word, ell)
+                        assert report.empirical == want, (text, letter, depth, seed, ell)
+                        assert list(report.empirical) == list(want)
+                        assert report.sample_length == len(word)

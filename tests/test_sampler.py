@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import randsub as rs
-from conftest import seed_for_draw
+from conftest import seed_for_draw, traced_peak
 from randsub.sampler import _window_counts
 
 
@@ -125,11 +125,12 @@ class TestEmpiricalFrequencies:
 
     def test_packed_and_direct_window_counts_agree(self):
         # Binary windows pack into int64 codes up to ell 61; from ell 62
-        # the shared codec runs on Python-int codes.
+        # the shared codec runs on Python-int codes.  The counter takes
+        # consecutive blocks; here the whole word is one.
         word = rs.sample_realisation(rs.get_example("random-fibonacci"), "a", 12, 3)
         arr = np.fromiter(map(ord, word), dtype=np.uint16)
         for ell in (1, 5, 62, 63):
-            assert _window_counts(arr, ell, 2) == _count_windows_py(word, ell)
+            assert _window_counts([arr], ell, 2) == _count_windows_py(word, ell)
 
     def test_non_index_string_matches_oracle(self):
         # Letters are code points 97 and 98 here, so the codes use base 99.
@@ -191,10 +192,12 @@ class TestFrequencyReport:
             rs.frequency_report(fib, 4, 10, 0, budget=10)
 
     def test_traced_peak_per_sampled_letter(self):
-        # tracemalloc sees numpy's buffers.  The peak is about the final word
-        # (two bytes a letter), the previous level's one-byte choices and a
-        # block of temporaries.  Whole-level intp choices and one int64 code
-        # per window would read 20 bytes a letter.
+        # tracemalloc sees numpy's buffers.  The peak is under a byte a
+        # sampled letter of one-byte level choices plus a few MB of reused
+        # block buffers and window counts: about 5 bytes a letter at 2^20
+        # letters, most of it fixed.  Holding the final word (two bytes a
+        # letter) read 4.5; whole-level intp choices and one int64 code per
+        # window read 20.
         pd = rs.get_example("period-doubling")
         tracemalloc.start()
         try:
@@ -206,6 +209,15 @@ class TestFrequencyReport:
             tracemalloc.stop()
         assert report.sample_length == 2**20
         assert peak <= 8 * report.sample_length
+
+    def test_traced_peak_grows_under_a_byte_per_added_letter(self):
+        # Each level keeps only its one-byte image choices, and the last level
+        # is counted as it is gathered, so one more level of period doubling
+        # adds to the peak only the last level's choices, half a byte per
+        # added letter.  Holding the final word added 2.75 bytes.
+        pd = rs.get_example("period-doubling")
+        peaks = [traced_peak(lambda: rs.frequency_report(pd, 4, k, 2024)) for k in (21, 22)]
+        assert peaks[1] - peaks[0] <= 2**22 - 2**21
 
     def test_deviation_shrinks_to_threshold_for_deterministic(self):
         det = rs.parse_spec("alphabet: a b\nrule a -> ab:1\nrule b -> a:1\n")
