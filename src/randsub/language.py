@@ -97,14 +97,19 @@ def encode_rows(letters: np.ndarray, base: int, dtype: type) -> np.ndarray:
     return codes
 
 
-def decode_codes(codes: np.ndarray, length: int, base: int) -> list[Word]:
-    """Words of one length from their codes, in the order given."""
+def code_digits(codes: np.ndarray, length: int, base: int) -> np.ndarray:
+    """Letter indices of words of one length from their codes, a row each."""
     digits = np.empty((len(codes), length), dtype="<u4")
     rest = codes
     for t in range(length - 1, -1, -1):
         digits[:, t] = rest % base
         rest = rest // base
-    text = digits.tobytes().decode("utf-32-le")
+    return digits
+
+
+def decode_codes(codes: np.ndarray, length: int, base: int) -> list[Word]:
+    """Words of one length from their codes, in the order given."""
+    text = code_digits(codes, length, base).tobytes().decode("utf-32-le")
     return [text[i : i + length] for i in range(0, len(text), length)]
 
 

@@ -26,11 +26,12 @@ byte a letter for up to 256 images).  The next level's letters are gathered
 from them _BLOCK at a time, and each block is drawn and chosen while it is
 in cache, so no level's letters are ever held whole; a level's length is
 summed from the previous level's choices before any of its letters exist.
-A report counts the last level's windows as its blocks are gathered.  Its
-peak is a few MB of reused block buffers and window counts plus the larger
-of the choices held while the last but one level is chosen (its own and the
-level's before) and while the last level is counted (the last but one's):
-for period doubling, 3/4 and 1/2 byte a sampled letter.
+A report never builds the last level: it counts the windows from the image
+ids chosen at the level before, as they are chosen (``_window_counts``).
+Its peak is a few MB of reused block buffers and counts plus the larger of
+the choices held while the level before the last but one is chosen (its own
+and the level's before) and while the last but one is chosen and counted
+(the level's before): for period doubling, 3/8 and 1/4 byte a sampled letter.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from .core import DEFAULT_BUDGET, RandomSubstitution, Word, _letter_index
 from .errors import BudgetExceededError, WordTooShortError
 from .induced import FrequencyVector, word_frequencies
-from .language import code_base, code_dtype, decode_codes, encode_rows
+from .language import code_base, code_digits, code_dtype, decode_codes, encode_rows
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -79,12 +80,19 @@ def stream_u01(seed: int, depth: int, positions: np.ndarray) -> np.ndarray:
 
 
 def _level_blocks(
-    sub: RandomSubstitution, letter: int, k: int, seed: int, budget: int = DEFAULT_BUDGET
+    sub: RandomSubstitution,
+    letter: int,
+    k: int,
+    seed: int,
+    budget: int = DEFAULT_BUDGET,
+    image_ids: bool = False,
 ) -> Iterator[int | np.ndarray]:
     """The length of the chosen realisation of the k-th image of a letter,
     then its letter indices in blocks of _BLOCK (the last may be shorter),
     each a view of a reused buffer that the next block overwrites; no level
-    longer than ``budget`` letters is begun."""
+    longer than ``budget`` letters is begun.  With ``image_ids`` (k >= 1), only
+    the image ids chosen at level k - 1 are yielded, in such blocks, as they
+    are chosen: the last level is never built."""
     if k < 0:
         raise ValueError("depth must be non-negative")
     images = [w for rule in sub.rules for w in rule.images]
@@ -144,7 +152,8 @@ def _level_blocks(
     for depth in range(k):
         # Inverse CDF a block at a time: the image id is the letter's first id
         # plus its count of thresholds <= v, that is, of cum <= u = v * 2^-53.
-        chosen, end, total = np.empty(length, dtype=choice), 0, 0
+        last = image_ids and depth == k - 1
+        chosen, end, total = np.empty(0 if last else length, dtype=choice), 0, 0
         for letters in blocks:
             n = len(letters)
             if n > len(counters):
@@ -158,7 +167,10 @@ def _level_blocks(
                 cut = column.take(held, out=scratch[:n], mode="clip")
                 block += np.less_equal(cut, v, out=below[:n])
             total += int(lengths.take(block, out=held, mode="clip").sum())
-            chosen[end : end + n] = block
+            if last:
+                yield block
+            else:
+                chosen[end : end + n] = block
             end += n
         if total > budget:
             raise BudgetExceededError(
@@ -167,8 +179,9 @@ def _level_blocks(
                 budget,
             )
         blocks, length = gather(chosen, total < length * width), total
-    yield length
-    yield from blocks
+    if not image_ids:
+        yield length
+        yield from blocks
 
 
 def _expand_levels(
@@ -205,31 +218,117 @@ def _merge_counts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarra
     return codes[first], np.add.reduceat(counts, first)
 
 
-def _window_counts(blocks: Iterable[np.ndarray], ell: int, n_letters: int) -> dict[Word, int]:
-    """Counts of the length-ell windows of the letters < n_letters of
-    consecutive blocks.
+def _merged(
+    parts: Iterable[tuple[np.ndarray, np.ndarray]], dtype: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_merge_counts`` of a stream of parts.  Parts wait until they hold as
+    many codes as the merged counts, then are merged into them: a merge costs
+    at most about twice the codes waiting, and live memory stays within a few
+    times the distinct codes plus a part."""
+    merged, waiting = [(np.empty(0, dtype=dtype), np.empty(0, dtype=np.intp))], 0
+    for part in parts:
+        merged.append(part)
+        waiting += len(part[0])
+        if waiting >= len(merged[0][0]):
+            merged, waiting = [_merge_counts(merged)], 0
+    return _merge_counts(merged)
 
-    Each block is joined to the ell - 1 letters before it, and its windows
-    are encoded and counted at once.  Partial counts wait until they hold as
-    many codes as the merged counts, then are merged into them: a merge
-    costs at most about twice the codes waiting, and live memory stays
-    within a few times the distinct windows plus a block."""
-    base = code_base(n_letters)
-    dtype = code_dtype(base, ell)
-    parts, waiting = [(np.empty(0, dtype=dtype), np.empty(0, dtype=np.intp))], 0
-    carried = np.empty(0, dtype=np.uint16)
-    for block in blocks:
-        letters = np.concatenate((carried, block))
-        carried = letters[max(0, len(letters) - ell + 1) :].copy()
-        if len(letters) < ell:
-            continue
-        windows = np.lib.stride_tricks.sliding_window_view(letters, ell)
-        parts.append(np.unique(encode_rows(windows, base, dtype), return_counts=True))
-        waiting += len(parts[-1][0])
-        if waiting >= len(parts[0][0]):
-            parts, waiting = [_merge_counts(parts)], 0
-    values, counts = _merge_counts(parts)
-    return dict(zip(decode_codes(values, ell, base), counts.tolist()))
+
+def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + sizes[i] - 1 for each i, joined."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _gram_length(ell: int, size: int) -> int:
+    """m: a window of ell letters that starts in one image ends within the
+    next m - 1 images, if none of them is shorter than ``size``."""
+    return 1 - (1 - ell) // size
+
+
+def _window_counts(
+    blocks: Iterable[np.ndarray], ell: int, n_letters: int, images: list[Word] | None = None
+) -> tuple[dict[Word, int], int]:
+    """Counts of the length-ell windows of the word spelt by consecutive
+    blocks of symbols (letters < n_letters, or ids of ``images``), and its
+    length.
+
+    A window starting in the image of symbol j depends on symbols j ...
+    j + m - 1 only, and on j + t only while j + 1 ... j + t - 1 spell fewer
+    than ell - 1 letters: later ones are encoded as 0.  The m-grams are
+    encoded a block at a time after the m - 1 symbols carried, and counted
+    by ``bincount`` if their code space fits in a block.  For letters they
+    are the windows; otherwise each distinct one is spelt once into the
+    windows starting in its first image, and the last m - 1 symbols into
+    all of theirs."""
+    sizes = np.ones(1, np.intp) if images is None else np.array(list(map(len, images)))
+    m, unmasked = (_gram_length(ell, int(size)) for size in (sizes.min(), sizes.max()))
+    base = code_base(n_letters if images is None else len(images))
+    dense = base**m <= _BLOCK
+    dtype = np.min_scalar_type(base**m - 1) if dense else code_dtype(base, m)
+    symbol = np.min_scalar_type(base - 1)
+    symbols, codes, held = np.empty(m - 1, symbol), np.empty(0, dtype), 0
+
+    def gram_counts() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        nonlocal symbols, codes, held
+        counts = np.zeros(base**m if dense else 0, np.intp)
+        for block in blocks:
+            size = held + len(block)
+            if size > len(symbols):
+                symbols = np.concatenate((symbols[:held], np.empty(size - held, symbol)))
+            symbols[held:size] = block
+            n = size - m + 1  # m-grams starting in the carried symbols and the block
+            if n > 0:
+                if n > len(codes):
+                    codes = np.empty(n, dtype)
+                grams = codes[:n]
+                grams[:] = symbols[:n]
+                ends = np.cumsum(sizes[symbols[:size]]) if unmasked < m else None
+                for t in range(1, m):
+                    grams *= base
+                    kept = t < unmasked or ends[t - 1 : t - 1 + n] - ends[:n] < ell - 1
+                    np.add(grams, symbols[t : t + n], out=grams, where=kept)
+                if dense:
+                    counts += np.bincount(grams, minlength=len(counts))
+                else:
+                    yield np.unique(grams, return_counts=True)
+            held = min(size, m - 1)
+            symbols[:held] = symbols[size - held : size]
+        if dense:
+            seen = np.flatnonzero(counts)
+            yield seen, counts[seen]
+
+    values, counts = _merged(gram_counts(), dtype)
+    if images is None:
+        length = int(counts.sum()) + held
+        return dict(zip(decode_codes(values, ell, base), counts.tolist())), length
+    text = np.fromiter(map(ord, "".join(images)), np.intp)  # every image's letters, joined
+    offsets = np.cumsum(sizes) - sizes
+
+    def spell(ids: np.ndarray) -> np.ndarray:
+        return text[_spans(offsets[ids], sizes[ids])]
+
+    letter_base = code_base(n_letters)
+    letter_dtype = code_dtype(letter_base, ell)
+    tail = spell(symbols[:held])
+    step = max(1, _BLOCK // (m * int(sizes.max())))  # m-grams spelt at once
+
+    def window_counts() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for start in range(0, len(values), step):
+            grams = code_digits(values[start : start + step], m, base)
+            spelt = sizes[grams]
+            lengths = spelt.sum(1)
+            starts = _spans(np.cumsum(lengths) - lengths, spelt[:, 0])
+            windows = np.lib.stride_tricks.sliding_window_view(spell(grams.ravel()), ell)
+            weights = np.repeat(counts[start : start + step], spelt[:, 0])
+            yield encode_rows(windows[starts], letter_base, letter_dtype), weights
+        if len(tail) >= ell:
+            windows = np.lib.stride_tricks.sliding_window_view(tail, ell)
+            yield encode_rows(windows, letter_base, letter_dtype), np.ones(len(windows), np.intp)
+
+    length = int(counts @ sizes[values // base ** (m - 1)]) + len(tail)
+    values, counts = _merged(window_counts(), letter_dtype)
+    return dict(zip(decode_codes(values, ell, letter_base), counts.tolist())), length
 
 
 def _frequencies(counts: dict[Word, int], total: int) -> dict[Word, float]:
@@ -245,7 +344,7 @@ def empirical_frequencies(word: Word, ell: int) -> dict[Word, float]:
         raise WordTooShortError(f"word of length {len(word)} has no {ell}-windows")
     arr = np.frombuffer(word.encode("utf-32-le"), dtype="<u4")
     blocks = (arr[i : i + _BLOCK] for i in range(0, len(arr), _BLOCK))
-    return _frequencies(_window_counts(blocks, ell, int(arr.max()) + 1), len(word) - ell + 1)
+    return _frequencies(_window_counts(blocks, ell, int(arr.max()) + 1)[0], len(word) - ell + 1)
 
 
 class SampleReport(NamedTuple):
@@ -283,13 +382,20 @@ def frequency_report(
     frequencies with the stationary prediction."""
     start = _letter_index(sub, 0 if start_letter is None else start_letter)
     predicted = word_frequencies(sub, ell, budget=budget)
-    blocks = _level_blocks(sub, start, k, seed, budget)
-    length = next(blocks)
+    # The windows are counted from the image ids chosen at level k - 1, unless
+    # their m-gram codes would leave int64: then from the letters of level k.
+    images = [w for rule in sub.rules for w in rule.images]
+    m = _gram_length(ell, min(map(len, images)))
+    ids = k > 0 and code_dtype(code_base(len(images)), m) is np.int64
+    blocks = _level_blocks(sub, start, k, seed, budget, ids)
+    if not ids:
+        next(blocks)
+    counts, length = _window_counts(blocks, ell, sub.n_letters, images if ids else None)
     if length < ell:
         raise WordTooShortError(
             f"sample of length {length} is shorter than ell={ell}; increase the depth"
         )
-    empirical = _frequencies(_window_counts(blocks, ell, sub.n_letters), length - ell + 1)
+    empirical = _frequencies(counts, length - ell + 1)
     expected = predicted.as_dict()
     deviation = max(
         abs(empirical.get(w, 0.0) - expected.get(w, 0.0))

@@ -1608,8 +1608,9 @@ def array_blocks(arr):
 
 
 def assert_window_counts_agree(arr, ell, n_letters):
-    got = _window_counts(array_blocks(arr), ell, n_letters)
+    got, length = _window_counts(array_blocks(arr), ell, n_letters)
     want = whole_array_window_counts(arr, ell, n_letters)
+    assert length == len(arr)
     assert got == want, (len(arr), ell)
     assert list(got) == list(want), (len(arr), ell)
 
@@ -1714,3 +1715,79 @@ class TestStreamedWindowCounts:
                         assert report.empirical == want, (text, letter, depth, seed, ell)
                         assert list(report.empirical) == list(want)
                         assert report.sample_length == len(word)
+
+
+class TestImageIdReports:
+    """A report counts its windows from the m-grams of the image ids chosen
+    at level k - 1 and never builds level k, unless those m-gram codes would
+    leave int64; its counts and length must be those of the joined sample."""
+
+    @pytest.fixture(autouse=True)
+    def routes(self, monkeypatch):
+        # The prediction is not under test; the route each report takes is.
+        empty = rs.FrequencyVector(ell=0, words=(), values=())
+        monkeypatch.setattr(randsub.sampler, "word_frequencies", lambda *a, **kw: empty)
+        taken, level_blocks = [], randsub.sampler._level_blocks
+
+        def spy(sub, letter, k, seed, budget, image_ids=False):
+            taken.append(image_ids)
+            return level_blocks(sub, letter, k, seed, budget, image_ids)
+
+        monkeypatch.setattr(randsub.sampler, "_level_blocks", spy)
+        return taken
+
+    @staticmethod
+    def assert_report_matches(sub, letter, depth, seed, ell, routes):
+        """The report's route: True where it counted image ids."""
+        word = rs.sample_realisation(sub, letter, depth, seed)
+        routes.clear()
+        if len(word) < ell:
+            with pytest.raises(rs.WordTooShortError, match=f"sample of length {len(word)} is"):
+                rs.frequency_report(sub, ell, depth, seed, letter)
+            return routes[0]
+        report = rs.frequency_report(sub, ell, depth, seed, letter)
+        want = rs.empirical_frequencies(word, ell)
+        assert report.empirical == want, (sub.rules, letter, depth, seed, ell)
+        assert list(report.empirical) == list(want)
+        assert report.sample_length == len(word)
+        return routes[0]
+
+    @staticmethod
+    def ells(sub):
+        longest = max(len(w) for rule in sub.rules for w in rule.images)
+        return sorted({*range(1, min(2 * longest + 1, 19) + 1), longest + 1, 2 * longest + 1})
+
+    @staticmethod
+    def gram_space(sub, ell):
+        images = [w for rule in sub.rules for w in rule.images]
+        return code_base(len(images)) ** randsub.sampler._gram_length(ell, min(map(len, images)))
+
+    def test_pool(self, pool, routes):
+        wide = 0
+        for i, sub in enumerate(pool):
+            for depth in range(5):
+                for ell in self.ells(sub):
+                    # Depth 0 counts its one letter; every other depth, ids.
+                    assert self.assert_report_matches(sub, 0, depth, i, ell, routes) == (depth > 0)
+                    wide += depth > 0 and self.gram_space(sub, ell) > randsub.sampler._BLOCK
+        assert wide > 0  # some m-gram code spaces exceed a block: counted by unique
+
+    def test_hand_specs(self, routes):
+        for text, depths in HAND_SAMPLER_SPECS:
+            sub = rs.parse_spec(text)
+            for letter in range(sub.n_letters):
+                for depth in (*range(5), depths[1]):
+                    for ell in self.ells(sub):
+                        self.assert_report_matches(sub, letter, depth, 1, ell, routes)
+
+    def test_int64_fallback(self, routes):
+        # Six images, the shortest one letter long: the m-grams of ids are the
+        # ell-grams, whose codes leave int64 at ell 24 (6^24 > 2^62), while
+        # ternary letter codes do not (3^24 < 2^62); such a report counts
+        # the letters of level k.
+        text, _ = HAND_SAMPLER_SPECS[0]
+        sub = rs.parse_spec(text)
+        assert code_dtype(6, 23) is np.int64 and code_dtype(6, 24) is object
+        assert code_dtype(3, 24) is np.int64
+        for ell in (23, 24, 25):
+            assert self.assert_report_matches(sub, 0, 12, 3, ell, routes) == (ell < 24)
