@@ -14,7 +14,8 @@ any variation disproves it, while agreement at finite depth proves
 nothing and is reported as such.  ``_induced_entries`` builds the induced
 matrices on the language codec's integer codes, as entries in one fixed order;
 ``_tail_maps`` expands every distinct tail of a window length in one array pass
-on packed codes b^len + code, with no dict or string per tail or key.
+on packed codes b^len + code, with no dict or string per tail or key.  Both lay
+the images out by the codec's ``image_table`` and expand rows by its ``fan_out``.
 ``_perron_rights`` is the one route from probabilities to Perron vectors: it
 holds the stack cap and the M + I shift.
 """
@@ -37,9 +38,10 @@ from .core import (
     with_probabilities,
 )
 from .errors import EmptySubshiftError, NoConvergenceError, NotPrimitiveError
-from .language import LanguageTable, code_base, code_dtype, encode_rows, encode_word, legal_words
+from .language import LanguageTable, code_base, code_dtype, encode_rows, fan_out, image_table
+from .language import legal_words
 from . import matrices
-from .matrices import DEFAULT_PF_TOL, _assemble, _power_iterates, _strong_period
+from .matrices import DEFAULT_PF_TOL, _assemble, _check_pf_tol, _power_iterates, _strong_period
 from .matrices import is_primitive, substitution_matrix
 
 DEFAULT_SCAN_TOL = 1e-6
@@ -95,13 +97,9 @@ def _first_occurrences(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _image_table(sub: RandomSubstitution, weights: list, base: int, dtype: type):
-    """Every image of every letter, in rule order: each letter's first image and
-    arity, and per image its code, its length and its weights (images, P)."""
-    images = [x for rule in sub.rules for x in rule.images]
-    arity = np.array([rule.arity for rule in sub.rules])
-    code = np.array([encode_word(x, base) for x in images], dtype=dtype)
+    """The rules' ``image_table``, and per image its weights (images, P)."""
     p = np.concatenate([np.reshape(w, (len(w), -1)) for w in weights])
-    return np.cumsum(arity) - arity, arity, code, np.array(list(map(len, images))), p
+    return (*image_table([rule.images for rule in sub.rules], base, dtype), p)
 
 
 def _tail_maps(
@@ -120,17 +118,14 @@ def _tail_maps(
     base, (count, m) = code_base(sub.n_letters), tails.shape
     dtype = code_dtype(base, keep + sub.max_image_len + 1)
     pows = np.array([base**k for k in range(keep + sub.max_image_len + 1)], dtype=dtype)
-    first, arity, image_code, image_len, p = _image_table(sub, weights, base, dtype)
-    shortest = np.array([min(map(len, rule.images)) for rule in sub.rules])
+    arity, first, image_code, image_len, p = _image_table(sub, weights, base, dtype)
+    shortest = np.minimum.reduceat(image_len, first)
     stop = np.minimum((np.cumsum(shortest[tails], axis=1) < keep).sum(axis=1) + 1, m)
     owner, packed = np.arange(count), np.ones(count, dtype=dtype)  # the empty word
     length, acc = np.zeros(count, dtype=np.intp), np.ones((count, p.shape[1]))
     finished, failed = [], (count, 0, 0)  # (tail, position, keys) of the first failure
     for position in range(1, int(stop.max(initial=0)) + 1):
-        letter = tails[owner, position - 1]
-        fan = arity[letter]
-        row = np.repeat(np.arange(len(owner)), fan)
-        image = np.repeat(first[letter] - np.cumsum(fan) + fan, fan) + np.arange(len(row))
+        row, image = fan_out(tails[owner, position - 1], arity, first)
         grown = image_len[image]
         owner, acc = owner[row], acc[row] * p[image]
         packed = packed[row] * pows[grown] + image_code[image]
@@ -176,21 +171,17 @@ def _induced_entries(
     owner, keys, pt = _tail_maps(sub, letters[firsts, 1:], ell - 1, weights, budget)
     tail_codes = (keys - base ** (ell - 1)).astype(dtype)  # every key has ell - 1 letters
     tail_size = np.bincount(owner, minlength=len(firsts))
-    tail_start = (np.cumsum(tail_size) - tail_size)[tail_of]
-    tail_size = tail_size[tail_of]
-    first, arity, image_code, length, p0 = _image_table(sub, weights, base, dtype)
-    # one row per (window, image, tail), and x + s as code(x) * b^(ell - 1) + code(s)
-    letter = letters[:, 0]
-    count = arity[letter] * tail_size
-    window = np.repeat(np.arange(n), count)
-    q = np.arange(len(window)) - np.repeat(np.cumsum(count) - count, count)
-    image = first[letter][window] + q // tail_size[window]
-    tail = tail_start[window] + q % tail_size[window]
+    arity, first, image_code, length, p0 = _image_table(sub, weights, base, dtype)
+    # one row per (window, image), then per (window, image, tail), and x + s as
+    # code(x) * b^(ell - 1) + code(s)
+    window, image = fan_out(letters[:, 0], arity, first)
+    row, tail = fan_out(tail_of[window], tail_size, np.cumsum(tail_size) - tail_size)
+    window, image = window[row], image[row]
     length = length[image]
     weight = np.repeat(0.0 + p0[image] * pt[tail], length, axis=0)
     joined = image_code[image] * pows[ell - 1]
     joined += tail_codes[tail]
-    del q, image, tail  # the loop below is the peak; hold no more there than it reads
+    del row, image, tail  # the loop below is the peak; hold no more there than it reads
     starts, index = np.cumsum(length) - length, np.repeat(window, length)
     del window
     for k in range(sub.max_image_len):  # cut the window at offset k from x + s
@@ -297,6 +288,7 @@ def word_frequencies(
     result can be zero).  An empty subshift carries no invariant measure,
     so it is refused at every ell.
     """
+    _check_pf_tol(tol)  # before the closure, which can take seconds
     words = _windows(sub, ell, table, budget)
     weights = [r.probabilities for r in sub.rules]
     (right,) = _perron_rights(sub, words, weights, budget, sub.is_degenerate, tol)

@@ -17,7 +17,9 @@ live partial window or an emitted window) packs its code and its length
 as ``b^m + code``, one integer; appending a word of length k with code c
 is ``packed * b^k + c`` and cutting the last k letters is
 ``packed // b^k``.  ``encode_rows`` and ``decode_codes`` are the one
-codec, shared with the sampler's window counter.
+codec, shared with the sampler's window counter.  ``image_table`` is the
+one image layout and ``fan_out`` the one row expansion (a row per item of
+a key) of the closure, the tail engine, the induced join and the sampler.
 
 Rounds.  Round r processes, as one batch, every word that became known
 in round r-1 (round 1 processes the letters).  Within the batch, lengths
@@ -113,6 +115,24 @@ def decode_codes(codes: np.ndarray, length: int, base: int) -> list[Word]:
     return [text[i : i + length] for i in range(0, len(text), length)]
 
 
+def image_table(images: list, base: int, dtype: type) -> tuple[np.ndarray, ...]:
+    """Per letter a (``images[a]``) its image count and first image id, per image
+    its code and its int16 length: rule order, then declaration order."""
+    count = np.array(list(map(len, images)))
+    flat = [w for ws in images for w in ws]
+    code = np.array([encode_word(w, base) for w in flat], dtype=dtype)
+    return count, np.cumsum(count) - count, code, np.array(list(map(len, flat)), np.int16)
+
+
+def fan_out(keys: np.ndarray, count: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each row's entry and item, one row per (entry of ``keys``, item of its key) in
+    entry order, then item order; key k has items first[k] .. first[k] + count[k] - 1."""
+    sizes = count[keys]
+    item = np.repeat(first[keys] - np.cumsum(sizes) + sizes, sizes)
+    item += np.arange(len(item))
+    return np.repeat(np.arange(len(keys)), sizes), item
+
+
 def _member(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Elementwise membership of ``codes`` in a sorted array."""
     if len(sorted_codes) == 0:
@@ -203,28 +223,15 @@ class _Closure:
         self.empty = np.zeros(0, dtype=self.dtype)
         # A letter's windows grow from the empty word by the tails of its
         # images, one per (image, offset); longer words grow by images.
-        self.tails = self._image_table(
-            [[w[o:] for w in rule.images for o in range(len(w))] for rule in sub.rules]
-        )
-        self.images = self._image_table([rule.images for rule in sub.rules])
+        tails = [[w[o:] for w in rule.images for o in range(len(w))] for rule in sub.rules]
+        self.tails = image_table(tails, self.base, self.dtype)
+        self.images = image_table([rule.images for rule in sub.rules], self.base, self.dtype)
         # Live partial windows of every processed word of length m < ell,
         # as parallel arrays (word code, packed partial, partial length)
         # sorted by word code; the empty word's one partial is itself.
         empty_word = (np.zeros(1, dtype=self.dtype), self.pows[:1], np.zeros(1, dtype=np.int16))
         self.live = {0: empty_word}
         self.work = 0
-
-    def _image_table(self, words_per_letter):
-        """(count, code, length, base**length) per letter, padded."""
-        width = max(len(ws) for ws in words_per_letter)
-        count = np.array([len(ws) for ws in words_per_letter], dtype=np.int64)
-        code = np.zeros((len(words_per_letter), width), dtype=self.dtype)
-        length = np.zeros((len(words_per_letter), width), dtype=np.int16)
-        for a, ws in enumerate(words_per_letter):
-            for k, w in enumerate(ws):
-                code[a, k] = encode_word(w, self.base)
-                length[a, k] = len(w)
-        return count, code, length, self.pows[length]
 
     def run(self) -> tuple[dict[int, np.ndarray], dict[int, int]]:
         ell = self.ell
@@ -292,40 +299,34 @@ class _Closure:
         """Extend the words' stems (rows lo..hi of the length m-1 table)
         by the images of their last letters, in chunks; emitted windows
         go to ``chunks``, live partials into the length-m table."""
-        count_of, img_code, img_len, img_pow = table
+        count_of, first_of, img_code, img_len = table
         _keys, stem_packed, stem_len = self.live[m - 1]
         ell, pows = self.ell, self.pows
-        ext = (hi - lo) * count_of[last]
+        stems = hi - lo
+        ext = stems * count_of[last]
         ends = np.cumsum(ext)
         stored = []
         i = 0
         while i < len(words):
             j = max(i + 1, int(np.searchsorted(ends, ends[i] - ext[i] + _CHUNK, side="right")))
-            count = hi[i:j] - lo[i:j]
-            total = int(count.sum())
-            if total:
-                # one row per (word, stem), then one per (stem, image)
-                offsets = np.cumsum(count) - count
-                stem = np.repeat(lo[i:j] - offsets, count) + np.arange(total)
-                owner = np.repeat(np.arange(i, j), count)
-                letter = last[owner]
-                fan = count_of[letter]
-                row = np.repeat(np.arange(total), fan)
-                image = np.arange(int(fan.sum())) - np.repeat(np.cumsum(fan) - fan, fan)
-                stem, owner, letter = stem[row], owner[row], letter[row]
-                grown = stem_packed[stem] * img_pow[letter, image] + img_code[letter, image]
-                length = stem_len[stem] + img_len[letter, image]
-                chunks.append(_unique(grown // pows[np.maximum(length - ell, 0)]))
-                if len(chunks) > 16:
-                    chunks[:] = [_unique(np.concatenate(chunks))]
-                if m < ell:
-                    keep = length < ell
-                    owner, grown, length = owner[keep], grown[keep], length[keep]
-                    order = np.lexsort((grown, owner))
-                    owner, grown, length = owner[order], grown[order], length[order]
-                    first = np.ones(len(owner), dtype=bool)
-                    first[1:] = (owner[1:] != owner[:-1]) | (grown[1:] != grown[:-1])
-                    stored.append((words[owner[first]], grown[first], length[first]))
+            # one row per (word, stem), then one per (stem, image)
+            owner, stem = fan_out(np.arange(i, j), stems, lo)
+            owner += i
+            row, image = fan_out(last[owner], count_of, first_of)
+            stem, owner = stem[row], owner[row]
+            grown = stem_packed[stem] * pows[img_len[image]] + img_code[image]
+            length = stem_len[stem] + img_len[image]
+            chunks.append(_unique(grown // pows[np.maximum(length - ell, 0)]))
+            if len(chunks) > 16:
+                chunks[:] = [_unique(np.concatenate(chunks))]
+            if m < ell:
+                keep = length < ell
+                owner, grown, length = owner[keep], grown[keep], length[keep]
+                order = np.lexsort((grown, owner))
+                owner, grown, length = owner[order], grown[order], length[order]
+                first = np.ones(len(owner), dtype=bool)
+                first[1:] = (owner[1:] != owner[:-1]) | (grown[1:] != grown[:-1])
+                stored.append((words[owner[first]], grown[first], length[first]))
             i = j
         if m < ell:
             self._store(m, stored)

@@ -155,6 +155,11 @@ class PerronData(NamedTuple):
     iterations: int
 
 
+def _check_pf_tol(tol: float) -> None:
+    if not 0.0 < tol < np.inf:  # tol <= 0 never converges, and NaN or inf proves nothing
+        raise ValueError(f"Perron-Frobenius tolerance must be positive and finite, got {tol!r}")
+
+
 def _power_iterates(
     ms: np.ndarray, tol: float, cap: int
 ) -> list[tuple[float, np.ndarray, int, float]]:
@@ -165,8 +170,7 @@ def _power_iterates(
     where it converges; the stack is compacted only then, so a one-matrix stack is
     never copied.  A ``NoConvergenceError`` names in ``point`` the stack index of
     the first point that collapsed or did not converge."""
-    if not 0.0 < tol < np.inf:  # tol <= 0 never converges, and NaN or inf proves nothing
-        raise ValueError(f"Perron-Frobenius tolerance must be positive and finite, got {tol!r}")
+    _check_pf_tol(tol)
     p, n = ms.shape[:2]
     results: list = [None] * p
     live = np.arange(p)

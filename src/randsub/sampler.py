@@ -26,8 +26,9 @@ byte a letter for up to 256 images).  The next level's letters are gathered
 from them _BLOCK at a time, and each block is drawn and chosen while it is
 in cache, so no level's letters are ever held whole; a level's length is
 summed from the previous level's choices before any of its letters exist.
-A report never builds the last level: it counts the windows from the image
-ids chosen at the level before, as they are chosen (``_window_counts``).
+A report never builds the last level: at depth k >= 1 it counts the windows
+from the image ids chosen at level k - 1, as they are chosen, and spells each
+distinct m-gram by the language codec's ``fan_out`` (``_window_counts``).
 Its peak is a few MB of reused block buffers and counts plus the larger of
 the choices held while the level before the last but one is chosen (its own
 and the level's before) and while the last but one is chosen and counted
@@ -43,7 +44,7 @@ import numpy as np
 from .core import DEFAULT_BUDGET, RandomSubstitution, Word, _letter_index
 from .errors import BudgetExceededError, WordTooShortError
 from .induced import FrequencyVector, word_frequencies
-from .language import code_base, code_digits, code_dtype, decode_codes, encode_rows
+from .language import code_base, code_digits, code_dtype, decode_codes, encode_rows, fan_out
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -234,12 +235,6 @@ def _merged(
     return _merge_counts(merged)
 
 
-def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """starts[i], starts[i] + 1, ..., starts[i] + sizes[i] - 1 for each i, joined."""
-    ends = np.cumsum(sizes)
-    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
-
-
 def _gram_length(ell: int, size: int) -> int:
     """m: a window of ell letters that starts in one image ends within the
     next m - 1 images, if none of them is shorter than ``size``."""
@@ -306,7 +301,7 @@ def _window_counts(
     offsets = np.cumsum(sizes) - sizes
 
     def spell(ids: np.ndarray) -> np.ndarray:
-        return text[_spans(offsets[ids], sizes[ids])]
+        return text[fan_out(ids, sizes, offsets)[1]]
 
     letter_base = code_base(n_letters)
     letter_dtype = code_dtype(letter_base, ell)
@@ -318,15 +313,14 @@ def _window_counts(
             grams = code_digits(values[start : start + step], m, base)
             spelt = sizes[grams]
             lengths = spelt.sum(1)
-            starts = _spans(np.cumsum(lengths) - lengths, spelt[:, 0])
+            gram, starts = fan_out(np.arange(len(grams)), spelt[:, 0], np.cumsum(lengths) - lengths)
             windows = np.lib.stride_tricks.sliding_window_view(spell(grams.ravel()), ell)
-            weights = np.repeat(counts[start : start + step], spelt[:, 0])
-            yield encode_rows(windows[starts], letter_base, letter_dtype), weights
+            yield encode_rows(windows[starts], letter_base, letter_dtype), counts[start + gram]
         if len(tail) >= ell:
             windows = np.lib.stride_tricks.sliding_window_view(tail, ell)
             yield encode_rows(windows, letter_base, letter_dtype), np.ones(len(windows), np.intp)
 
-    length = int(counts @ sizes[values // base ** (m - 1)]) + len(tail)
+    length = int(counts @ sizes[(values // base ** (m - 1)).astype(np.intp)]) + len(tail)
     values, counts = _merged(window_counts(), letter_dtype)
     return dict(zip(decode_codes(values, ell, letter_base), counts.tolist())), length
 
@@ -381,16 +375,15 @@ def frequency_report(
     """Sample one realisation of depth k and compare its window
     frequencies with the stationary prediction."""
     start = _letter_index(sub, 0 if start_letter is None else start_letter)
+    if k < 0:  # before the prediction, which can take seconds
+        raise ValueError("depth must be non-negative")
     predicted = word_frequencies(sub, ell, budget=budget)
-    # The windows are counted from the image ids chosen at level k - 1, unless
-    # their m-gram codes would leave int64: then from the letters of level k.
-    images = [w for rule in sub.rules for w in rule.images]
-    m = _gram_length(ell, min(map(len, images)))
-    ids = k > 0 and code_dtype(code_base(len(images)), m) is np.int64
-    blocks = _level_blocks(sub, start, k, seed, budget, ids)
-    if not ids:
-        next(blocks)
-    counts, length = _window_counts(blocks, ell, sub.n_letters, images if ids else None)
+    # Windows are counted from the image ids chosen at level k - 1 (k >= 1).
+    blocks = _level_blocks(sub, start, k, seed, budget, k > 0)
+    images = [w for rule in sub.rules for w in rule.images] if k else None
+    if not k:
+        next(blocks)  # the length of depth 0's one letter
+    counts, length = _window_counts(blocks, ell, sub.n_letters, images)
     if length < ell:
         raise WordTooShortError(
             f"sample of length {length} is shorter than ell={ell}; increase the depth"

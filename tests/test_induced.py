@@ -179,6 +179,17 @@ class TestWordFrequencies:
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             rs.word_frequencies(rs.get_example("random-fibonacci"), 2, tol=tol)
 
+    def test_bad_tolerance_is_refused_before_the_closure(self, monkeypatch):
+        # period doubling at ell 16 spends seconds and hundreds of MB in its
+        # closure and induced build; a bad tolerance must reach neither
+        def reached(*args, **kwargs):
+            raise AssertionError("the closure or the induced build ran")
+
+        monkeypatch.setattr(randsub.induced, "_windows", reached)
+        monkeypatch.setattr(randsub.induced, "_induced_entries", reached)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite, got 0.0"):
+            rs.word_frequencies(rs.get_example("period-doubling"), 16, tol=0.0)
+
     def test_not_primitive_rejected(self):
         sub = rs.parse_spec("alphabet: a b\nrule a -> a:1\nrule b -> b:1\n")
         with pytest.raises(rs.NotPrimitiveError):

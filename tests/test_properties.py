@@ -1719,8 +1719,8 @@ class TestStreamedWindowCounts:
 
 class TestImageIdReports:
     """A report counts its windows from the m-grams of the image ids chosen
-    at level k - 1 and never builds level k, unless those m-gram codes would
-    leave int64; its counts and length must be those of the joined sample."""
+    at level k - 1 and never builds level k, at every depth k >= 1; its counts
+    and length must be those of the joined sample."""
 
     @pytest.fixture(autouse=True)
     def routes(self, monkeypatch):
@@ -1783,11 +1783,11 @@ class TestImageIdReports:
     def test_int64_fallback(self, routes):
         # Six images, the shortest one letter long: the m-grams of ids are the
         # ell-grams, whose codes leave int64 at ell 24 (6^24 > 2^62), while
-        # ternary letter codes do not (3^24 < 2^62); such a report counts
-        # the letters of level k.
+        # ternary letter codes do not (3^24 < 2^62); such a report still
+        # counts ids, on Python-int m-gram codes.
         text, _ = HAND_SAMPLER_SPECS[0]
         sub = rs.parse_spec(text)
         assert code_dtype(6, 23) is np.int64 and code_dtype(6, 24) is object
         assert code_dtype(3, 24) is np.int64
         for ell in (23, 24, 25):
-            assert self.assert_report_matches(sub, 0, 12, 3, ell, routes) == (ell < 24)
+            assert self.assert_report_matches(sub, 0, 12, 3, ell, routes)

@@ -186,6 +186,14 @@ class TestFrequencyReport:
         with pytest.raises(ValueError, match="depth must be non-negative"):
             rs.sample_realisation(golden, 0, -1, 0)
 
+    def test_negative_depth_is_refused_before_the_prediction(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("the prediction was computed")
+
+        monkeypatch.setattr(rs.sampler, "word_frequencies", reached)
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            rs.frequency_report(rs.get_example("period-doubling"), 16, -1, 0)
+
     def test_budget_caps_the_prediction(self):
         fib = rs.get_example("random-fibonacci")
         with pytest.raises(rs.BudgetExceededError, match="closure to length 4"):
