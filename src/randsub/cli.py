@@ -10,6 +10,13 @@ mixing depend on the support only and refuse it.
 OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
 OMP_NUM_THREADS is set; a library import of randsub sets no variable.
 
+Importing the CLI loads core, errors and examples, none of which loads numpy.
+The computing modules (dynamics, induced, language, matrices, sampler) are
+registered in ``sys.modules`` and run on their first attribute access, so
+--help, a usage error and an unreadable --spec load no numpy, while each
+report loads numpy and only the modules it calls: zeta, periodic and mixing
+never load induced or sampler.
+
 Exit codes: 0 success; 1 domain error (empty subshift, not primitive,
 no convergence, ...); 2 usage or spec-format error, or a closed stdout;
 3 budget exhausted.  Scripts exit through ``run``.
@@ -19,6 +26,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
+import importlib.util
 import os
 import sys
 from collections.abc import Iterator
@@ -36,6 +45,8 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
 
 from .core import (
     DEFAULT_BUDGET,
+    DEFAULT_PF_TOL,
+    DEFAULT_SCAN_TOL,
     RandomSubstitution,
     _format_images,
     format_float,
@@ -44,29 +55,31 @@ from .core import (
     serialize,
     with_probabilities,
 )
-from .dynamics import entropy_bracket, mixing_gaps, periodic_census, zeta_series
 from .errors import (
     BudgetExceededError,
     RandsubError,
     SpecError,
 )
 from .examples import EXAMPLES, example_names, get_example
-from .induced import (
-    DEFAULT_SCAN_TOL,
-    induced_matrix,
-    induced_substitution,
-    unique_ergodicity_scan,
-    word_frequencies,
+
+
+def _lazy(name: str):
+    """``randsub.<name>``, registered in ``sys.modules`` now and run on its
+    first attribute access, so a subcommand loads only the modules it calls."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+dynamics, induced, language, matrices, sampler = map(
+    _lazy, ("dynamics", "induced", "language", "matrices", "sampler")
 )
-from .language import is_empty_subshift, legal_words
-from .matrices import (
-    DEFAULT_PF_TOL,
-    is_irreducible,
-    is_primitive,
-    perron_data,
-    substitution_matrix,
-)
-from .sampler import frequency_report
 
 DOMAIN_EXIT = 1
 USAGE_EXIT = 2
@@ -131,17 +144,17 @@ def _cmd_info(sub: RandomSubstitution, args) -> Iterator[str]:
     yield _row("min_image_len", sub.min_image_len)
     yield _row("deterministic", str(sub.is_deterministic).lower())
     yield _row("degenerate", str(sub.is_degenerate).lower())
-    primitive = is_primitive(sub)
+    primitive = matrices.is_primitive(sub)
     yield _row("primitive", str(primitive).lower())
-    yield _row("irreducible", str(is_irreducible(sub)).lower())
+    yield _row("irreducible", str(matrices.is_irreducible(sub)).lower())
     if primitive:
-        yield _row("empty_subshift", str(is_empty_subshift(sub)).lower())
+        yield _row("empty_subshift", str(language.is_empty_subshift(sub)).lower())
     for rule in sub.rules:
         yield _row(f"rule_{sub.alphabet.letters[rule.source]}", _format_images(sub, rule))
 
 
 def _cmd_language(sub: RandomSubstitution, args) -> Iterator[str]:
-    table = legal_words(sub, args.lmax, budget=args.budget)
+    table = language.legal_words(sub, args.lmax, budget=args.budget)
     yield _row("length", "count")
     for ell in range(1, args.lmax + 1):
         yield _row(ell, table.count(ell))
@@ -155,9 +168,9 @@ def _cmd_language(sub: RandomSubstitution, args) -> Iterator[str]:
 
 def _cmd_matrix(sub: RandomSubstitution, args) -> Iterator[str]:
     letters = list(sub.alphabet.letters)
-    matrix = substitution_matrix(sub)
+    matrix = matrices.substitution_matrix(sub)
     yield from _matrix_rows(letters, matrix)
-    pf = perron_data(matrix, tol=args.tol)
+    pf = matrices.perron_data(matrix, tol=args.tol)
     yield ""
     yield _row("lambda", format_float(pf.lam))
     for letter, value in zip(letters, pf.right):
@@ -168,14 +181,14 @@ def _cmd_matrix(sub: RandomSubstitution, args) -> Iterator[str]:
 
 
 def _cmd_induced(sub: RandomSubstitution, args) -> Iterator[str]:
-    ind = induced_substitution(sub, args.ell, budget=args.budget)
+    ind = induced.induced_substitution(sub, args.ell, budget=args.budget)
     yield serialize(ind.sub).rstrip("\n")
     yield ""
-    yield from _matrix_rows(list(ind.sub.alphabet.letters), induced_matrix(ind))
+    yield from _matrix_rows(list(ind.sub.alphabet.letters), induced.induced_matrix(ind))
 
 
 def _cmd_freq(sub: RandomSubstitution, args) -> Iterator[str]:
-    freq = word_frequencies(sub, args.ell, tol=args.tol, budget=args.budget)
+    freq = induced.word_frequencies(sub, args.ell, tol=args.tol, budget=args.budget)
     yield _row("word", "frequency")
     for word, value in zip(freq.words, freq.values):
         yield _row(sub.alphabet.format_word(word), format_float(value))
@@ -201,7 +214,9 @@ def _cmd_ergodicity(sub: RandomSubstitution, args) -> Iterator[str]:
             "only covers non-degenerate probabilities",
             file=sys.stderr,
         )
-    verdict = unique_ergodicity_scan(sub, args.lmax, grid, tol=args.tol, budget=args.budget)
+    verdict = induced.unique_ergodicity_scan(
+        sub, args.lmax, grid, tol=args.tol, budget=args.budget
+    )
     yield _row("field", "value")
     yield _row("verdict", verdict.status)
     yield _row("ell_max", verdict.ell_max)
@@ -222,7 +237,7 @@ def _cmd_entropy(sub: RandomSubstitution, args) -> Iterator[str]:
     if args.example is not None:
         spec = EXAMPLES[args.example]
         exact, exact_note = spec.exact_entropy, spec.entropy_note
-    bracket = entropy_bracket(
+    bracket = dynamics.entropy_bracket(
         sub,
         args.lmax,
         args.kmax,
@@ -250,15 +265,15 @@ def _cmd_entropy(sub: RandomSubstitution, args) -> Iterator[str]:
 
 
 def _cmd_periodic(sub: RandomSubstitution, args) -> Iterator[str]:
-    census = periodic_census(sub, args.nmax, args.horizon, budget=args.budget)
+    census = dynamics.periodic_census(sub, args.nmax, args.horizon, budget=args.budget)
     yield _row("n", "count")
     for n in range(1, args.nmax + 1):
         yield _row(n, census.counts[n])
 
 
 def _cmd_zeta(sub: RandomSubstitution, args) -> Iterator[str]:
-    census = periodic_census(sub, args.nmax, args.horizon, budget=args.budget)
-    series = zeta_series(census, args.nmax)
+    census = dynamics.periodic_census(sub, args.nmax, args.horizon, budget=args.budget)
+    series = dynamics.zeta_series(census, args.nmax)
     yield _row("degree", "coefficient")
     for degree, coeff in enumerate(series.coefficients):
         yield _row(degree, format_float(coeff))
@@ -267,14 +282,14 @@ def _cmd_zeta(sub: RandomSubstitution, args) -> Iterator[str]:
 def _cmd_mixing(sub: RandomSubstitution, args) -> Iterator[str]:
     u = sub.alphabet.word(args.u)
     v = sub.alphabet.word(args.v)
-    gaps = mixing_gaps(sub, u, v, args.nmax, budget=args.budget)
+    gaps = dynamics.mixing_gaps(sub, u, v, args.nmax, budget=args.budget)
     yield _row("gap")
     for gap in gaps:
         yield _row(gap)
 
 
 def _cmd_sample(sub: RandomSubstitution, args) -> Iterator[str]:
-    report = frequency_report(
+    report = sampler.frequency_report(
         sub, args.ell, args.depth, args.seed, start_letter=args.letter, budget=args.budget
     )
     yield _row("word", "empirical", "predicted", "abs_dev")
@@ -399,6 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # The parser leaves cycles behind; freed before numpy loads, they lower the peak RSS.
+    gc.collect()
     try:
         sub = _load_substitution(args)
         payload = "".join(line + "\n" for line in args.func(sub, args))

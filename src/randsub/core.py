@@ -28,6 +28,10 @@ Word = str
 PROB_TOL = 1e-9
 # The one work cap of every enumeration: realisations and language closure.
 DEFAULT_BUDGET = 10**7
+# Power-iteration tolerance (matrix, freq) and the scan's grid spread (ergodicity);
+# here rather than in matrices and induced, so that the CLI parser loads no numpy.
+DEFAULT_PF_TOL = 1e-12
+DEFAULT_SCAN_TOL = 1e-6
 
 _RESERVED = set("#:|.,")
 

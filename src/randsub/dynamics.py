@@ -29,7 +29,6 @@ from .core import (
 )
 from .errors import LengthOrderError, NotPrimitiveError
 from .language import LanguageTable, code_base, complexity, encode_word, legal_words
-from .induced import word_frequencies
 from .matrices import is_primitive
 
 
@@ -144,6 +143,8 @@ def entropy_bracket(
     profile = tuple(
         (ell, math.log(c) / ell) for ell, c in enumerate(counts, start=1)
     )
+    from .induced import word_frequencies  # here: zeta, periodic and mixing never load induced
+
     # Degenerate probabilities can make some frequencies 0: those letters add no bound.
     freq = word_frequencies(sub, 1, budget=budget).values
     n_k = max_realisation_lengths(sub, k_max)

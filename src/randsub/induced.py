@@ -29,6 +29,8 @@ import numpy as np
 
 from .core import (
     DEFAULT_BUDGET,
+    DEFAULT_PF_TOL,
+    DEFAULT_SCAN_TOL,
     Alphabet,
     RandomSubstitution,
     Rule,
@@ -41,10 +43,9 @@ from .errors import EmptySubshiftError, NoConvergenceError, NotPrimitiveError
 from .language import LanguageTable, code_base, code_dtype, encode_rows, fan_out, image_table
 from .language import legal_words
 from . import matrices
-from .matrices import DEFAULT_PF_TOL, _assemble, _check_pf_tol, _power_iterates, _strong_period
+from .matrices import _assemble, _check_pf_tol, _power_iterates, _strong_period
 from .matrices import is_primitive, substitution_matrix
 
-DEFAULT_SCAN_TOL = 1e-6
 # Matrix entries iterated together.  Stacking saves interpreter steps, not memory:
 # one stacked power iteration holds at most this many float64s (512 KiB), or one
 # matrix when a matrix is larger.

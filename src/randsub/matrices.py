@@ -30,10 +30,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import RandomSubstitution
+from .core import DEFAULT_PF_TOL, RandomSubstitution
 from .errors import NoConvergenceError, NotPrimitiveError
 
-DEFAULT_PF_TOL = 1e-12
 PF_ITERATION_CAP = 10**6
 
 

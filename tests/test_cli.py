@@ -540,7 +540,10 @@ class TestBlasThreads:
         assert result["changed"] == {}
 
     def test_cli_defaults_openblas_to_one_thread(self):
-        result = fresh_import("randsub.cli")
+        # The CLI loads numpy only with its first computing module; the
+        # setting is in place by then.
+        assert fresh_import("randsub.cli")["numpy"] is False
+        result = fresh_import("randsub.cli, randsub.language")
         assert result["numpy"] is True
         assert result["changed"] == {"OPENBLAS_NUM_THREADS": "1"}
         if result["tasks"] is None:
@@ -582,6 +585,57 @@ class TestNoMaskedArrays:
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         assert proc.stdout.strip() == "False"
+
+# Run in a fresh interpreter with perfbench on sys.path: which modules
+# ``import randsub.cli`` leaves for the tracer, then the span names of one
+# traced report.
+TRACED_REPORT = """
+import json, sys
+sys.path.insert(0, {perfbench!r})
+from tracer import TARGETS, Tracer
+import randsub.cli
+missing = sorted({{module for module, *_ in TARGETS}} - set(sys.modules))
+numpy = "numpy" in sys.modules
+tracer = Tracer()
+tracer.install()
+code = randsub.cli.main(["zeta", "--example", "sofic-ab", "--nmax", "4"])
+print(json.dumps({{"missing": missing, "numpy": numpy, "code": code,
+                  "spans": sorted({{span["name"] for span in tracer.spans}})}}))
+"""
+
+
+class TestLazyModules:
+    def test_cli_import_registers_every_traced_module(self):
+        perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+        proc = subprocess.run(
+            [sys.executable, "-c", TRACED_REPORT.format(perfbench=perfbench)],
+            env=child_env(dict(os.environ)), capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert (result["missing"], result["numpy"], result["code"]) == ([], False, 0)
+        assert {"legal_words", "periodic_census"} <= set(result["spans"])
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("--help",), 0),
+            (("freq", "--example", "no-such", "--ell", "2"), 2),
+            (("freq", "--spec", "no-such.spec", "--ell", "2"), 2),
+        ],
+        ids=["help", "usage", "missing-spec"],
+    )
+    def test_paths_that_compute_nothing_skip_numpy(self, tmp_path, argv, code):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "randsub.cli", *argv],
+            env=child_env(dict(os.environ)), cwd=tmp_path, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == code
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "randsub.core" in imported
+        assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
 def cli_process(argv, stdout=subprocess.PIPE, **preset):
