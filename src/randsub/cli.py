@@ -30,6 +30,7 @@ import gc
 import importlib.util
 import os
 import sys
+import types
 from collections.abc import Iterator
 
 # Before numpy loads: its OpenBLAS would otherwise start a worker thread that
@@ -63,6 +64,30 @@ from .errors import (
 from .examples import EXAMPLES, example_names, get_example
 
 
+class _Rerun:
+    """A module's loader whose failed run leaves the module lazy, so that the
+    next access runs it again and raises its own error.  CPython's import of a
+    module already in ``sys.modules`` reads its ``__spec__``, which runs a lazy
+    module, and discards the error; the importer would then meet a half-run
+    module and report a missing name instead."""
+
+    def __init__(self, loader):
+        self.loader = loader
+
+    def __getattr__(self, name: str):
+        return getattr(self.loader, name)
+
+    def exec_module(self, module) -> None:
+        try:
+            self.loader.exec_module(module)
+        except BaseException:
+            # Newer Pythons keep the module lazy while it runs; LazyLoader must
+            # record a plain module's class, or the rerun recurses.
+            module.__class__ = types.ModuleType
+            importlib.util.LazyLoader(self).exec_module(module)
+            raise
+
+
 def _lazy(name: str):
     """``randsub.<name>``, registered in ``sys.modules`` now and run on its
     first attribute access, so a subcommand loads only the modules it calls."""
@@ -70,7 +95,7 @@ def _lazy(name: str):
     if full in sys.modules:
         return sys.modules[full]
     spec = importlib.util.find_spec(full)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = importlib.util.LazyLoader(_Rerun(spec.loader))
     module = importlib.util.module_from_spec(spec)
     sys.modules[full] = module
     spec.loader.exec_module(module)

@@ -12,6 +12,7 @@ operations are pure, so concurrent reads are safe.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -532,6 +533,19 @@ def power_realisation_words(
     return words
 
 
+def _level_bounds(rule_images: tuple[tuple[Word, ...], ...]) -> Iterator[tuple[tuple, tuple]]:
+    """For each level j = 0, 1, ... without end, the lengths of the shortest
+    and the longest j-th image of every letter."""
+    images = tuple(tuple(tuple(map(ord, v)) for v in vs) for vs in rule_images)
+    lo = hi = (1,) * len(images)
+    while True:
+        yield lo, hi
+        lo, hi = (
+            tuple(min(sum(lo[c] for c in v) for v in vs) for vs in images),
+            tuple(max(sum(hi[c] for c in v) for v in vs) for vs in images),
+        )
+
+
 @functools.lru_cache(maxsize=128)
 def _realisation_bounds(rule_images: tuple[tuple[Word, ...], ...], k: int) -> tuple[tuple, tuple]:
     """The images of each letter as tuples of letter indices, and for
@@ -539,15 +553,7 @@ def _realisation_bounds(rule_images: tuple[tuple[Word, ...], ...], k: int) -> tu
     image of every letter.  Memoised, so that testing many words against
     one substitution and power computes them once."""
     images = tuple(tuple(tuple(map(ord, v)) for v in vs) for vs in rule_images)
-    ones = (1,) * len(images)
-    bounds = [(ones, ones)]
-    for _ in range(k):
-        lo, hi = bounds[-1]
-        bounds.append((
-            tuple(min(sum(lo[c] for c in v) for v in vs) for vs in images),
-            tuple(max(sum(hi[c] for c in v) for v in vs) for vs in images),
-        ))
-    return images, tuple(bounds)
+    return images, tuple(itertools.islice(_level_bounds(rule_images), k + 1))
 
 
 def is_realisation(sub: RandomSubstitution, letter: int | str, k: int, word: Word) -> bool:

@@ -24,9 +24,12 @@ a key) of the closure, the tail engine, the induced join and the sampler.
 Rounds.  Round r processes, as one batch, every word that became known
 in round r-1 (round 1 processes the letters).  Within the batch, lengths
 go up: the live partial windows of u are those of u minus its last
-letter, found by ``searchsorted`` in a table sorted by word code, each
-extended by every image of u's last letter.  Partials shorter than the
-bound stay live; every extension emits its window, cut to the bound.
+letter, each extended by every image of u's last letter.  They are kept
+in a per-word index: the sorted codes of the words of one length that
+have partials, closed by the sentinel b^m, and each word's first row
+(CSR), so a prefix's rows are one ``searchsorted`` on the codes and two
+reads of the row starts away.  Partials shorter than the bound stay
+live; every extension emits its window, cut to the bound.
 The round's fresh words are the unknown factors of its windows, computed
 top-down length by length: an unknown factor of length L is an emitted
 window of length L or a prefix or suffix of an unknown word of length
@@ -34,7 +37,9 @@ L+1, tested against a sorted array of the known words per length.
 
 Bounded memory.  Extensions run in chunks of about 2^15 (partial, image)
 pairs; each chunk deduplicates its live partials per word and its
-windows before they are kept.
+windows before they are kept.  A chunk hands on its partials with one
+row count per word, never a word code per partial, so a kept partial
+costs 10 bytes: its packed code and its int16 length.
 
 Budget.  Work is one unit per (partial, image) extension, charged in the
 order the rounds run: lengths go up, and within one length the words go
@@ -226,10 +231,12 @@ class _Closure:
         tails = [[w[o:] for w in rule.images for o in range(len(w))] for rule in sub.rules]
         self.tails = image_table(tails, self.base, self.dtype)
         self.images = image_table([rule.images for rule in sub.rules], self.base, self.dtype)
-        # Live partial windows of every processed word of length m < ell,
-        # as parallel arrays (word code, packed partial, partial length)
-        # sorted by word code; the empty word's one partial is itself.
-        empty_word = (np.zeros(1, dtype=self.dtype), self.pows[:1], np.zeros(1, dtype=np.int16))
+        # Live partial windows of every processed word of length m < ell:
+        # the sorted codes of the words that have partials, closed by the
+        # sentinel b^m, each word's first row, and per row a packed partial
+        # and its length; the empty word's one partial is itself.
+        codes = np.arange(2).astype(self.dtype)
+        empty_word = (codes, np.arange(2), self.pows[:1], np.zeros(1, dtype=np.int16))
         self.live = {0: empty_word}
         self.work = 0
 
@@ -246,6 +253,8 @@ class _Closure:
             batch = {}
             carry = self.empty
             for m in range(ell, 0, -1):
+                if len(windows[m]) == len(carry) == 0:
+                    continue
                 # unknown factors of length m: windows of that length, and
                 # prefixes and suffixes of the unknown factors one longer
                 parts = (windows[m], carry // self.base, carry % self.pows[m])
@@ -272,10 +281,11 @@ class _Closure:
             table = self.tails if m == 1 else self.images
             # each word extends its prefix's live partials by the images
             # of its last letter
-            keys = self.live[m - 1][0]
+            codes, starts = self.live[m - 1][:2]
             prefix = words // self.base
-            lo = np.searchsorted(keys, prefix, side="left")
-            hi = np.searchsorted(keys, prefix, side="right")
+            at = np.searchsorted(codes, prefix)
+            lo = starts[at]
+            hi = starts[at + (codes[at] == prefix)]
             last = (words % self.base).astype(np.int64)
             work = self.work + np.cumsum((hi - lo) * table[0][last])
             if work[-1] > self.budget:
@@ -296,11 +306,11 @@ class _Closure:
     # -- extensions -------------------------------------------------
 
     def _extend(self, m: int, table, words, lo, hi, last, chunks: list[np.ndarray]) -> None:
-        """Extend the words' stems (rows lo..hi of the length m-1 table)
+        """Extend the words' stems (rows lo..hi of the length m-1 index)
         by the images of their last letters, in chunks; emitted windows
-        go to ``chunks``, live partials into the length-m table."""
+        go to ``chunks``, live partials into the length-m index."""
         count_of, first_of, img_code, img_len = table
-        _keys, stem_packed, stem_len = self.live[m - 1]
+        stem_packed, stem_len = self.live[m - 1][2:]
         ell, pows = self.ell, self.pows
         stems = hi - lo
         ext = stems * count_of[last]
@@ -311,46 +321,66 @@ class _Closure:
             j = max(i + 1, int(np.searchsorted(ends, ends[i] - ext[i] + _CHUNK, side="right")))
             # one row per (word, stem), then one per (stem, image)
             owner, stem = fan_out(np.arange(i, j), stems, lo)
-            owner += i
-            row, image = fan_out(last[owner], count_of, first_of)
-            stem, owner = stem[row], owner[row]
-            grown = stem_packed[stem] * pows[img_len[image]] + img_code[image]
-            length = stem_len[stem] + img_len[image]
+            row, image = fan_out(last[i:j][owner], count_of, first_of)
+            stem, size = stem[row], img_len[image]
+            grown = stem_packed[stem] * pows[size] + img_code[image]
+            length = stem_len[stem] + size
             chunks.append(_unique(grown // pows[np.maximum(length - ell, 0)]))
             if len(chunks) > 16:
                 chunks[:] = [_unique(np.concatenate(chunks))]
             if m < ell:
                 keep = length < ell
-                owner, grown, length = owner[keep], grown[keep], length[keep]
+                owner, grown, length = owner[row[keep]], grown[keep], length[keep]
                 order = np.lexsort((grown, owner))
                 owner, grown, length = owner[order], grown[order], length[order]
                 first = np.ones(len(owner), dtype=bool)
                 first[1:] = (owner[1:] != owner[:-1]) | (grown[1:] != grown[:-1])
-                stored.append((words[owner[first]], grown[first], length[first]))
+                counts = np.bincount(owner[first], minlength=j - i)
+                stored.append((counts, grown[first], length[first]))
             i = j
         if m < ell:
-            self._store(m, stored)
+            self._store(m, words, stored)
 
-    def _store(self, m: int, parts) -> None:
-        """Merge new (word, partial, length) rows, sorted by word, into
-        the table of length-m words; their words are all new to it."""
-        if parts:
-            keys, packed, lengths = (np.concatenate(column) for column in zip(*parts))
+    def _store(self, m: int, words: np.ndarray, parts) -> None:
+        """Merge the chunks' (row count per word, partials, lengths) of
+        ``words`` into the index of length-m words, to which they are all
+        new; words without partials stay out of it."""
+        if len(parts) == 1:
+            counts, packed, lengths = parts[0]
         else:
-            keys, packed, lengths = self.empty, self.empty, np.zeros(0, dtype=np.int16)
+            counts, packed, lengths = (np.concatenate(column) for column in zip(*parts))
+        has = counts > 0
+        words, sizes = words[has], counts[has]
         if m in self.live:
-            old_keys, old_packed, old_lengths = self.live[m]
-            total = len(old_keys) + len(keys)
-            fresh = np.zeros(total, dtype=bool)
-            fresh[np.searchsorted(old_keys, keys) + np.arange(len(keys))] = True
-            merged = []
-            for old, new in ((old_keys, keys), (old_packed, packed), (old_lengths, lengths)):
-                out = np.empty(total, dtype=old.dtype)
-                out[fresh] = new
-                out[~fresh] = old
-                merged.append(out)
-            keys, packed, lengths = merged
-        self.live[m] = (keys, packed, lengths)
+            old_codes, old_starts, old_packed, old_lengths = self.live[m]
+            at = np.searchsorted(old_codes, words)
+            rows = np.repeat(old_starts[at], sizes) + np.arange(len(packed))
+            fresh = _mask(len(old_packed) + len(packed), rows)
+            packed = _merge(old_packed, packed, fresh)
+            lengths = _merge(old_lengths, lengths, fresh)
+            fresh = _mask(len(old_codes) + len(words), at + np.arange(len(words)))
+            sizes = _merge(old_starts[1:] - old_starts[:-1], sizes, fresh[:-1])
+            codes = _merge(old_codes, words, fresh)
+        else:
+            codes = np.concatenate((words, self.pows[m : m + 1]))
+        starts = np.zeros(len(codes), dtype=np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        self.live[m] = (codes, starts, packed, lengths)
+
+
+def _mask(size: int, spots: np.ndarray) -> np.ndarray:
+    """A boolean array of ``size`` entries, set at ``spots``."""
+    mask = np.zeros(size, dtype=bool)
+    mask[spots] = True
+    return mask
+
+
+def _merge(old: np.ndarray, new: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """``new``'s entries where ``fresh`` is set, ``old``'s elsewhere, in order."""
+    out = np.empty(len(fresh), dtype=old.dtype)
+    out[fresh] = new
+    out[~fresh] = old
+    return out
 
 
 def legal_words(

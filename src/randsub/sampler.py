@@ -41,9 +41,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, RandomSubstitution, Word, _letter_index
+from .core import DEFAULT_BUDGET, RandomSubstitution, Word, _letter_index, _level_bounds
 from .errors import BudgetExceededError, WordTooShortError
-from .induced import FrequencyVector, word_frequencies
+from .induced import FrequencyVector, _windows, word_frequencies
 from .language import code_base, code_digits, code_dtype, decode_codes, encode_rows, fan_out
 
 _MASK = (1 << 64) - 1
@@ -174,15 +174,35 @@ def _level_blocks(
                 chosen[end : end + n] = block
             end += n
         if total > budget:
-            raise BudgetExceededError(
-                f"sample of letter {sub.alphabet.letters[letter]}: {total} letters "
-                f"at level {depth + 1} of {k}",
-                budget,
-            )
+            raise _level_error(sub, letter, total, depth + 1, k, budget)
         blocks, length = gather(chosen, total < length * width), total
     if not image_ids:
         yield length
         yield from blocks
+
+
+def _level_error(
+    sub: RandomSubstitution, letter: int, total: int, level: int, k: int, budget: int
+) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"sample of letter {sub.alphabet.letters[letter]}: {total} letters at level {level} of {k}",
+        budget,
+    )
+
+
+def _forced_level_error(
+    sub: RandomSubstitution, letter: int, k: int, budget: int
+) -> BudgetExceededError | None:
+    """The error the expansion to depth k must raise, when it is known without
+    drawing: at the first level whose longest realisation of ``letter`` passes
+    the budget, every realisation has that length.  None otherwise."""
+    bounds = _level_bounds(tuple(rule.images for rule in sub.rules))
+    next(bounds)  # level 0, the letter itself
+    for level, (lo, hi) in zip(range(1, k + 1), bounds):
+        if hi[letter] > budget:
+            forced = lo[letter] == hi[letter]
+            return _level_error(sub, letter, hi[letter], level, k, budget) if forced else None
+    return None
 
 
 def _expand_levels(
@@ -377,6 +397,12 @@ def frequency_report(
     start = _letter_index(sub, 0 if start_letter is None else start_letter)
     if k < 0:  # before the prediction, which can take seconds
         raise ValueError("depth must be non-negative")
+    # A depth whose levels must outgrow the budget is refused after the
+    # prediction's closure (ell >= 2), whose errors come first, but before
+    # its induced matrix, which can take seconds.
+    if ell > 1 and (error := _forced_level_error(sub, start, k, budget)) is not None:
+        _windows(sub, ell, None, budget)
+        raise error
     predicted = word_frequencies(sub, ell, budget=budget)
     # Windows are counted from the image ids chosen at level k - 1 (k >= 1).
     blocks = _level_blocks(sub, start, k, seed, budget, k > 0)

@@ -638,6 +638,37 @@ class TestLazyModules:
         assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
+WITHOUT_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None
+sys.argv = ["randsub", *{argv!r}]
+runpy.run_module("randsub.cli", run_name="__main__")
+"""
+
+
+class TestModuleLoadErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zeta", "--example", "sofic-ab", "--nmax", "3"),
+            ("freq", "--example", "golden", "--ell", "2"),
+            ("sample", "--example", "golden", "--ell", "2", "--depth", "3"),
+            ("info", "--example", "golden"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_module_that_fails_to_load_reports_its_own_error(self, argv):
+        # zeta's dynamics imports language by name; its failure used to
+        # surface as a missing name in language.
+        proc = subprocess.run(
+            [sys.executable, "-c", WITHOUT_NUMPY.format(argv=argv)],
+            env=child_env(dict(os.environ)), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "numpy" in proc.stderr
+        assert "cannot import name" not in proc.stderr
+
+
 def cli_process(argv, stdout=subprocess.PIPE, **preset):
     """Run ``python -m randsub.cli`` (the ``run`` exit path) in a fresh interpreter."""
     return subprocess.run(

@@ -1,7 +1,7 @@
 import pytest
 
 import randsub as rs
-from conftest import brute_force_no_11
+from conftest import brute_force_no_11, traced_peak
 
 
 class TestEmptiness:
@@ -162,3 +162,17 @@ class TestTableMechanics:
         table = rs.legal_words(fib, 3)
         skew = rs.with_probabilities(fib, {"a": [0.9, 0.1]})
         assert rs.legal_words(skew, 3, table=table) is table
+
+
+class TestClosureMemory:
+    def test_traced_peak_of_sofic_ab_at_24(self):
+        # sofic-ab holds 1,585,737 live partials at ell 24, kept by 606 of
+        # its 40,902 words.  At 10 bytes a partial (packed code and int16
+        # length, with one code and one row start per word) the closure
+        # peaks at about 24 MiB; a word code kept beside every partial, in
+        # the table or in the chunks handed to it, read 42 and 36 MiB.  The
+        # warm-up keeps module loading out of the traced peak.
+        sofic = rs.get_example("sofic-ab")
+        rs.legal_words(sofic, 8)
+        peak = traced_peak(lambda: rs.legal_words(sofic, 24))
+        assert peak <= 30 * 2**20

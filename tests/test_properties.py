@@ -292,8 +292,9 @@ def str_closure(sub, ell, budget):
     before words were coded as integers.  Each round's words are queued
     shortest first and lexicographically within a length, the order in
     which the closure charges its budget; the words and rounds found do
-    not depend on that order.  Returns the legal words per length and the
-    per-length stabilisation rounds."""
+    not depend on that order.  Returns the legal words per length, the
+    per-length stabilisation rounds and each processed word's live
+    partial windows, sorted."""
     rules = sub.rules
     work = 0
     live = {}
@@ -357,13 +358,13 @@ def str_closure(sub, ell, budget):
             round_added[len(word)] = rounds
             queue.append(word)
     words = {m: tuple(sorted(w for w in derived if len(w) == m)) for m in range(1, ell + 1)}
-    return words, {m: round_added.get(m, 0) for m in range(1, ell + 1)}
+    return words, {m: round_added.get(m, 0) for m in range(1, ell + 1)}, live
 
 
 def closure_outcome(close, sub, ell, budget):
     """(words per length, stabilized_at), or the budget error's text."""
     try:
-        return close(sub, ell, budget)
+        return close(sub, ell, budget)[:2]
     except rs.BudgetExceededError as exc:
         return str(exc)
 
@@ -371,6 +372,25 @@ def closure_outcome(close, sub, ell, budget):
 def table_closure(sub, ell, budget):
     table = rs.LanguageTable(sub, ell, budget=budget)
     return {m: table.words(m) for m in range(1, ell + 1)}, table.stabilized_at
+
+
+def indexed_partials(closure):
+    """Each word's live partials decoded from a run closure's per-word index:
+    sorted word codes closed by the sentinel b^m, and each word's first row."""
+    base, out = closure.base, {}
+    for m, (codes, starts, packed, lengths) in closure.live.items():
+        assert codes[-1] == base**m and starts[-1] == len(packed) == len(lengths)
+        assert all(codes[:-1] < codes[1:]) and all(starts[:-1] < starts[1:])
+        if m == 0:
+            continue
+        spelled = np.empty(len(packed), dtype=object)
+        for length in set(lengths.tolist()):
+            rows = np.flatnonzero(lengths == length)
+            spelled[rows] = decode_codes(packed[rows] - base**length, length, base)
+        words = decode_codes(codes[:-1], m, base)
+        for word, lo, hi in zip(words, starts[:-1], starts[1:]):
+            out[word] = tuple(sorted(spelled[lo:hi]))
+    return out
 
 
 def assert_closures_agree(sub, ell, budget=10**8):
@@ -422,6 +442,20 @@ class TestLanguageOracle:
                     rs.LanguageTable(sub, ell, budget=budget)
                 except rs.BudgetExceededError:
                     assert ran[0] <= budget, (rs.serialize(sub), ell, budget, ran[0])
+
+    def test_partial_index_matches_live_sets(self, pool, registry):
+        # Every processed word's partials, decoded from the closure's
+        # per-word index, are the oracle's live set; words without
+        # partials stay out of the index.
+        cases = [(sub, 8) for sub in pool] + [(sub, 12) for sub in registry]
+        for sub, ell in cases:
+            if rs.is_empty_subshift(sub):
+                continue
+            closure = rs.language._Closure(sub, ell, 10**8)
+            closure.run()
+            _words, _rounds, live = str_closure(sub, ell, 10**8)
+            expect = {word: partials for word, partials in live.items() if partials}
+            assert indexed_partials(closure) == expect, (rs.serialize(sub), ell)
 
     def test_wide_codes_match(self):
         # 3^(40 + 2) >= 2^62, so this closure runs on Python-int codes

@@ -199,6 +199,46 @@ class TestFrequencyReport:
         with pytest.raises(rs.BudgetExceededError, match="closure to length 4"):
             rs.frequency_report(fib, 4, 10, 0, budget=10)
 
+    @pytest.mark.parametrize(
+        "ell, depth, budget, message",
+        [
+            (16, 40, 10**7, "16777216 letters at level 24 of 40 (budget 10000000)"),
+            (2, 20, 1000, "1024 letters at level 10 of 20 (budget 1000)"),
+        ],
+    )
+    def test_forced_level_is_refused_before_the_prediction(
+        self, monkeypatch, ell, depth, budget, message
+    ):
+        # Period doubling's levels have forced lengths 2^d, so the level that
+        # passes the budget and its length are known before any draw.
+        def reached(*args, **kwargs):
+            raise AssertionError("the prediction was computed")
+
+        monkeypatch.setattr(rs.sampler, "word_frequencies", reached)
+        pd = rs.get_example("period-doubling")
+        with pytest.raises(rs.BudgetExceededError) as caught:
+            rs.frequency_report(pd, ell, depth, 0, budget=budget)
+        assert str(caught.value) == f"sample of letter 0: {message}"
+
+    def test_unforced_level_fails_in_the_expansion(self, monkeypatch):
+        # golden's shortest and longest level lengths differ (0 -> 0 | 010),
+        # so only the drawn sample says where it passes the budget.
+        calls = []
+        prediction = rs.sampler.word_frequencies
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return prediction(*args, **kwargs)
+
+        monkeypatch.setattr(rs.sampler, "word_frequencies", counted)
+        golden = rs.get_example("golden")
+        with pytest.raises(rs.BudgetExceededError) as caught:
+            rs.frequency_report(golden, 2, 40, 7, budget=100000)
+        assert str(caught.value) == (
+            "sample of letter 0: 159390 letters at level 25 of 40 (budget 100000)"
+        )
+        assert len(calls) == 1
+
     def test_traced_peak_per_sampled_letter(self):
         # tracemalloc sees numpy's buffers.  The peak is under half a byte a
         # sampled letter of one-byte level choices plus a few MB of reused
