@@ -17,22 +17,27 @@ produced.
 
 A letter's chosen image id is its first id plus the count of cumulative
 probabilities cum <= u, tested as ceil(cum * 2^53) <= value >> 11, which is
-exact because u is.  Each image, padded to a power of two, is one packed row:
-the next level is a gather of rows, compressed by their masks.
+exact because u is.  The counters of a block of positions end, end + 1, ...
+are one add of key_d + end * GOLDEN to the progression (1, 2, ...) * GOLDEN,
+built once per expansion: the same values mod 2^64.  Each image, padded to a
+power of two, is one packed row: the next level is a gather of rows,
+compressed by their masks.
 
 Memory follows the image choices, not the letters.  Each level keeps only
 its choices, in the smallest unsigned dtype that fits the image ids (one
-byte a letter for up to 256 images).  The next level's letters are gathered
-from them _BLOCK at a time, and each block is drawn and chosen while it is
-in cache, so no level's letters are ever held whole; a level's length is
-summed from the previous level's choices before any of its letters exist.
-A report never builds the last level: at depth k >= 1 it counts the windows
-from the image ids chosen at level k - 1, as they are chosen, and spells each
-distinct m-gram by the language codec's ``fan_out`` (``_window_counts``).
-Its peak is a few MB of reused block buffers and counts plus the larger of
-the choices held while the level before the last but one is chosen (its own
-and the level's before) and while the last but one is chosen and counted
-(the level's before): for period doubling, 3/8 and 1/4 byte a sampled letter.
+byte a letter for up to 256 images), as a list of blocks of _BLOCK = 2^14,
+small enough that a block's draws and buffers stay in L2.  The next level's
+letters are gathered from them a block at a time, and each block is drawn
+and chosen while it is in cache, so no level's letters are ever held whole;
+a level's length is summed from the previous level's choices before any of
+its letters exist.  Each block of choices is dropped once it is gathered, so
+the level being chosen reuses its memory and one level's choices are held at
+a time.  A report never builds the last level: at depth k >= 1 it counts the
+windows from the image ids chosen at level k - 1, as they are chosen, and
+spells each distinct m-gram by the language codec's ``fan_out``
+(``_window_counts``).  Its peak is about 1 MB of reused block buffers, the
+counts, and the choices of the level before the last but one, held while
+the last but one is chosen: for period doubling, 1/4 byte a sampled letter.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 GOLDEN = np.uint64(_GOLDEN)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_BLOCK = 1 << 16  # letters per block of a level, so that its draws stay in cache
+_BLOCK = 1 << 14  # letters per block of a level, so that its draws stay in L2
+_GATHER = 1 << 16  # padded letters per gather step, so that uneven images gather many rows
 
 
 def _mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -64,15 +70,29 @@ def _mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
+def _key(seed: int, depth: int) -> int:
+    """key_d, the mixed seed of one depth, as a Python int."""
+    return int(_mix64(np.array([(seed + (depth + 1) * _GOLDEN) & _MASK], dtype=np.uint64))[0])
+
+
+def _progression(
+    key: int, end: int, steps: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """``value >> 11`` at positions end, end + 1, ... of the depth keyed by
+    ``key``, into ``out``, from ``steps`` = (1, 2, ...) * GOLDEN: a single
+    add of key + end * GOLDEN to each counter, all mod 2^64."""
+    np.add(steps[: len(out)], np.uint64((key + end * _GOLDEN) & _MASK), out=out)
+    _mix64(out, scratch)
+    out >>= np.uint64(11)
+    return out
+
+
 def _draws(
     seed: int, depth: int, counters: np.ndarray, scratch: np.ndarray | None = None
 ) -> np.ndarray:
     """``value >> 11`` for the uint64 counters (position + 1) of one depth, in place."""
     counters *= GOLDEN
-    counters += _mix64(np.array([(seed + (depth + 1) * _GOLDEN) & _MASK], dtype=np.uint64))[0]
-    _mix64(counters, scratch)
-    counters >>= np.uint64(11)
-    return counters
+    return _progression(_key(seed, depth), 0, counters, counters, scratch)
 
 
 def stream_u01(seed: int, depth: int, positions: np.ndarray) -> np.ndarray:
@@ -115,25 +135,26 @@ def _level_blocks(
         cum[a, : rule.arity - 1] = np.cumsum(rule.probabilities[:-1])
     thresholds = np.clip(np.ceil(cum * 2.0**53), 0, 2.0**53).astype(np.uint64)
     # Reused buffers, which ``take`` fills with mode="clip" (mode="raise"
-    # buffers ``out``).  A gather step of ``step`` rows holds at most _BLOCK
-    # letters, however uneven the images, and steps are joined into blocks
-    # of _BLOCK letters before they are drawn or counted.
-    step = max(1, _BLOCK // width)
-    span = max(step, _BLOCK // 8)  # chosen rows cast to intp at once
+    # buffers ``out``).  A gather step of ``step`` rows holds at most _GATHER
+    # padded letters, however uneven the images, and steps are joined into
+    # blocks of _BLOCK letters before they are drawn or counted.
+    step = min(_BLOCK, max(1, _GATHER // width))
     rows, keep = np.empty(step, packed.dtype), np.empty(step, packed_mask.dtype)
     joined, below = np.empty(_BLOCK, np.uint16), np.empty(_BLOCK, bool)
-    index, ids = np.empty(_BLOCK, np.intp), np.empty(_BLOCK, np.intp)
-    picked = np.empty(span, np.intp)
+    index, ids, picked = (np.empty(_BLOCK, np.intp) for _ in range(3))
     draws, scratch = np.empty(_BLOCK, np.uint64), np.empty(_BLOCK, np.uint64)
-    counters = np.empty(0, np.uint64)  # 1, 2, ..., grown to the largest block so far
+    steps = np.arange(1, _BLOCK + 1, dtype=np.uint64) * GOLDEN  # wraps mod 2^64
 
-    def gather(chosen: np.ndarray, masked: bool) -> Iterator[np.ndarray]:
+    def gather(chosen: list[np.ndarray | None], masked: bool) -> Iterator[np.ndarray]:
         # The next level, a step of chosen rows at a time, compressed by
-        # their mask rows unless every chosen image fills its row.
+        # their mask rows unless every chosen image fills its row.  Each
+        # block of choices is dropped once it is cast, so that the level
+        # being chosen reuses its memory.
         fill = 0
-        for start in range(0, len(chosen), span):
-            chunk = picked[: min(span, len(chosen) - start)]
-            np.copyto(chunk, chosen[start : start + span])  # take is slow on uint8 indices
+        for i in range(len(chosen)):
+            chunk = picked[: len(chosen[i])]
+            np.copyto(chunk, chosen[i])  # take is slow on uint8 indices
+            chosen[i] = None
             for row in range(0, len(chunk), step):
                 picks = chunk[row : row + step]
                 part = packed.take(picks, out=rows[: len(picks)], mode="clip").view(np.uint16)
@@ -154,15 +175,12 @@ def _level_blocks(
         # Inverse CDF a block at a time: the image id is the letter's first id
         # plus its count of thresholds <= v, that is, of cum <= u = v * 2^-53.
         last = image_ids and depth == k - 1
-        chosen, end, total = np.empty(0 if last else length, dtype=choice), 0, 0
+        key, chosen, end, total = _key(seed, depth), [], 0, 0
         for letters in blocks:
             n = len(letters)
-            if n > len(counters):
-                counters = np.arange(1, n + 1, dtype=np.uint64)
             held = index[:n]
             np.copyto(held, letters)
-            v = np.add(counters[:n], np.uint64(end), out=draws[:n])  # positions + 1
-            _draws(seed, depth, v, scratch[:n])
+            v = _progression(key, end, steps, draws[:n], scratch[:n])
             block = first.take(held, out=ids[:n], mode="clip")
             for column in thresholds[:, :-1].T:
                 cut = column.take(held, out=scratch[:n], mode="clip")
@@ -171,7 +189,7 @@ def _level_blocks(
             if last:
                 yield block
             else:
-                chosen[end : end + n] = block
+                chosen.append(block.astype(choice))
             end += n
         if total > budget:
             raise _level_error(sub, letter, total, depth + 1, k, budget)
@@ -395,15 +413,17 @@ def frequency_report(
     """Sample one realisation of depth k and compare its window
     frequencies with the stationary prediction."""
     start = _letter_index(sub, 0 if start_letter is None else start_letter)
-    if k < 0:  # before the prediction, which can take seconds
+    if k < 0:  # before the closure and the expansion, which can take seconds
         raise ValueError("depth must be non-negative")
-    # A depth whose levels must outgrow the budget is refused after the
-    # prediction's closure (ell >= 2), whose errors come first, but before
-    # its induced matrix, which can take seconds.
-    if ell > 1 and (error := _forced_level_error(sub, start, k, budget)) is not None:
+    if ell < 1:
+        raise ValueError("ell must be at least 1")
+    # A depth whose levels must outgrow the budget is refused before any
+    # draw, after the prediction's closure, whose errors come first.  Any
+    # other sample is expanded and counted before the prediction, which can
+    # take seconds, so that the expansion's errors come first.
+    if (error := _forced_level_error(sub, start, k, budget)) is not None:
         _windows(sub, ell, None, budget)
         raise error
-    predicted = word_frequencies(sub, ell, budget=budget)
     # Windows are counted from the image ids chosen at level k - 1 (k >= 1).
     blocks = _level_blocks(sub, start, k, seed, budget, k > 0)
     images = [w for rule in sub.rules for w in rule.images] if k else None
@@ -414,6 +434,7 @@ def frequency_report(
         raise WordTooShortError(
             f"sample of length {length} is shorter than ell={ell}; increase the depth"
         )
+    predicted = word_frequencies(sub, ell, budget=budget)
     empirical = _frequencies(counts, length - ell + 1)
     expected = predicted.as_dict()
     deviation = max(

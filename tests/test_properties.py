@@ -1625,6 +1625,24 @@ class TestSamplerOracle:
                         assert got.tolist() == list(map(ord, image)), (rule, c, v)
 
 
+class TestSamplerBlockEdges:
+    """The sampler against the scatter oracle with blocks of 5 and 64
+    letters, so that every progression offset, dropped block of choices and
+    gather step crosses a block edge."""
+
+    @pytest.fixture(params=(5, 64), autouse=True)
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(randsub.sampler, "_BLOCK", request.param)
+
+    def test_registry_levels_match(self, registry):
+        for sub in registry:
+            assert_samplers_agree(sub, (8,))
+
+    def test_hand_specs_match(self):
+        for text, depths in HAND_SAMPLER_SPECS:
+            assert_samplers_agree(rs.parse_spec(text), depths, SAMPLER_SEEDS + (2**70,))
+
+
 def whole_array_window_counts(arr, ell, n_letters):
     """Reference: every window encoded into one code array and counted by
     one ``np.unique``, as the sampler counted before it went a block at a time."""
