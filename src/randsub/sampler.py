@@ -30,14 +30,16 @@ small enough that a block's draws and buffers stay in L2.  The next level's
 letters are gathered from them a block at a time, and each block is drawn
 and chosen while it is in cache, so no level's letters are ever held whole;
 a level's length is summed from the previous level's choices before any of
-its letters exist.  Each block of choices is dropped once it is gathered, so
-the level being chosen reuses its memory and one level's choices are held at
-a time.  A report never builds the last level: at depth k >= 1 it counts the
-windows from the image ids chosen at level k - 1, as they are chosen, and
-spells each distinct m-gram by the language codec's ``fan_out``
-(``_window_counts``).  Its peak is about 1 MB of reused block buffers, the
-counts, and the choices of the level before the last but one, held while
-the last but one is chosen: for period doubling, 1/4 byte a sampled letter.
+its letters exist, and a level whose length the level bounds force past the
+budget is refused before any draw.  Each block of choices is dropped once it
+is gathered, so the level being chosen reuses its memory and one level's
+choices are held at a time.  A report never builds the last level: at depth
+k >= 1 it counts the windows from the image ids chosen at level k - 1, as
+they are chosen, and spells each distinct m-gram by the language codec's
+``fan_out`` (``_window_counts``).  Its peak is about 1 MB of reused block
+buffers, the counts, and the choices of the level before the last but one,
+held while the last but one is chosen: for period doubling, 1/4 byte a
+sampled letter.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 
 from .core import DEFAULT_BUDGET, RandomSubstitution, Word, _letter_index, _level_bounds
 from .errors import BudgetExceededError, WordTooShortError
-from .induced import FrequencyVector, _windows, word_frequencies
+from .induced import FrequencyVector, word_frequencies
 from .language import code_base, code_digits, code_dtype, decode_codes, encode_rows, fan_out
 
 _MASK = (1 << 64) - 1
@@ -113,9 +115,18 @@ def _level_blocks(
     each a view of a reused buffer that the next block overwrites; no level
     longer than ``budget`` letters is begun.  With ``image_ids`` (k >= 1), only
     the image ids chosen at level k - 1 are yielded, in such blocks, as they
-    are chosen: the last level is never built."""
+    are chosen: the last level is never built.  Here, the one place a sample
+    is refused, the first level whose longest realisation passes the budget
+    is refused before any draw if every realisation has that length."""
     if k < 0:
         raise ValueError("depth must be non-negative")
+    bounds = _level_bounds(tuple(rule.images for rule in sub.rules))
+    next(bounds)  # level 0, the letter itself
+    for level, (lo, hi) in zip(range(1, k + 1), bounds):
+        if hi[letter] > budget:
+            if lo[letter] == hi[letter]:
+                raise _level_error(sub, letter, hi[letter], level, k, budget)
+            break
     images = [w for rule in sub.rules for w in rule.images]
     lengths = np.array([len(w) for w in images], dtype=np.intp)
     width = 1 << (int(lengths.max()) - 1).bit_length()
@@ -208,21 +219,6 @@ def _level_error(
     )
 
 
-def _forced_level_error(
-    sub: RandomSubstitution, letter: int, k: int, budget: int
-) -> BudgetExceededError | None:
-    """The error the expansion to depth k must raise, when it is known without
-    drawing: at the first level whose longest realisation of ``letter`` passes
-    the budget, every realisation has that length.  None otherwise."""
-    bounds = _level_bounds(tuple(rule.images for rule in sub.rules))
-    next(bounds)  # level 0, the letter itself
-    for level, (lo, hi) in zip(range(1, k + 1), bounds):
-        if hi[letter] > budget:
-            forced = lo[letter] == hi[letter]
-            return _level_error(sub, letter, hi[letter], level, k, budget) if forced else None
-    return None
-
-
 def _expand_levels(
     sub: RandomSubstitution, letter: int, k: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:
@@ -242,7 +238,7 @@ def sample_realisation(
     """One realisation of the k-th image of ``letter``, deterministic in
     (sub, letter, k, seed)."""
     arr = _expand_levels(sub, _letter_index(sub, letter), k, seed, budget)
-    return arr.astype("<u4").tobytes().decode("utf-32-le")
+    return str(memoryview(arr.astype("<u4")), "utf-32-le")
 
 
 def _merge_counts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -300,23 +296,17 @@ def _window_counts(
     dense = base**m <= _BLOCK
     dtype = np.min_scalar_type(base**m - 1) if dense else code_dtype(base, m)
     symbol = np.min_scalar_type(base - 1)
-    symbols, codes, held = np.empty(m - 1, symbol), np.empty(0, dtype), 0
+    symbols = np.empty(0, symbol)  # the last m - 1 symbols, carried to the next block
 
     def gram_counts() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        nonlocal symbols, codes, held
+        nonlocal symbols
         counts = np.zeros(base**m if dense else 0, np.intp)
         for block in blocks:
-            size = held + len(block)
-            if size > len(symbols):
-                symbols = np.concatenate((symbols[:held], np.empty(size - held, symbol)))
-            symbols[held:size] = block
-            n = size - m + 1  # m-grams starting in the carried symbols and the block
+            symbols = np.concatenate((symbols, block), dtype=symbol, casting="unsafe")
+            n = len(symbols) - m + 1  # m-grams starting in the carried symbols and the block
             if n > 0:
-                if n > len(codes):
-                    codes = np.empty(n, dtype)
-                grams = codes[:n]
-                grams[:] = symbols[:n]
-                ends = np.cumsum(sizes[symbols[:size]]) if unmasked < m else None
+                grams = symbols[:n].astype(dtype)
+                ends = np.cumsum(sizes[symbols]) if unmasked < m else None
                 for t in range(1, m):
                     grams *= base
                     kept = t < unmasked or ends[t - 1 : t - 1 + n] - ends[:n] < ell - 1
@@ -325,15 +315,14 @@ def _window_counts(
                     counts += np.bincount(grams, minlength=len(counts))
                 else:
                     yield np.unique(grams, return_counts=True)
-            held = min(size, m - 1)
-            symbols[:held] = symbols[size - held : size]
+            symbols = symbols[max(n, 0) :]
         if dense:
             seen = np.flatnonzero(counts)
             yield seen, counts[seen]
 
     values, counts = _merged(gram_counts(), dtype)
     if images is None:
-        length = int(counts.sum()) + held
+        length = int(counts.sum()) + len(symbols)
         return dict(zip(decode_codes(values, ell, base), counts.tolist())), length
     text = np.fromiter(map(ord, "".join(images)), np.intp)  # every image's letters, joined
     offsets = np.cumsum(sizes) - sizes
@@ -343,7 +332,7 @@ def _window_counts(
 
     letter_base = code_base(n_letters)
     letter_dtype = code_dtype(letter_base, ell)
-    tail = spell(symbols[:held])
+    tail = spell(symbols)
     step = max(1, _BLOCK // (m * int(sizes.max())))  # m-grams spelt at once
 
     def window_counts() -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -411,19 +400,14 @@ def frequency_report(
     budget: int = DEFAULT_BUDGET,
 ) -> SampleReport:
     """Sample one realisation of depth k and compare its window
-    frequencies with the stationary prediction."""
+    frequencies with the stationary prediction.  Errors come in one order:
+    a bad depth or ``ell``, the expansion's (``_level_blocks``), a sample
+    shorter than ``ell``, then the prediction's, which can take seconds."""
     start = _letter_index(sub, 0 if start_letter is None else start_letter)
-    if k < 0:  # before the closure and the expansion, which can take seconds
+    if k < 0:
         raise ValueError("depth must be non-negative")
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    # A depth whose levels must outgrow the budget is refused before any
-    # draw, after the prediction's closure, whose errors come first.  Any
-    # other sample is expanded and counted before the prediction, which can
-    # take seconds, so that the expansion's errors come first.
-    if (error := _forced_level_error(sub, start, k, budget)) is not None:
-        _windows(sub, ell, None, budget)
-        raise error
     # Windows are counted from the image ids chosen at level k - 1 (k >= 1).
     blocks = _level_blocks(sub, start, k, seed, budget, k > 0)
     images = [w for rule in sub.rules for w in rule.images] if k else None

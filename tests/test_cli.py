@@ -93,7 +93,7 @@ class TestExitCodes:
             ("zeta", "--example", "period-doubling", "--nmax", "4", "--budget", "10"),
             ("mixing", "--example", "period-doubling", "--u", "0", "--v", "0",
              "--nmax", "4", "--budget", "10"),
-            ("sample", "--example", "random-fibonacci", "--depth", "10", "--ell", "4",
+            ("sample", "--example", "random-fibonacci", "--depth", "4", "--ell", "4",
              "--budget", "10"),
         ],
         ids=lambda argv: argv[0],

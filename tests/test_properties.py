@@ -1,6 +1,7 @@
 """Invariant suites over the bundled registry plus a reproducible pool of
 randomly generated small primitive substitutions."""
 
+import itertools
 import math
 import random
 from collections import deque
@@ -15,7 +16,12 @@ import randsub.induced
 import randsub.matrices
 import randsub.sampler
 from conftest import seed_for_draw
-from randsub.core import _image_budget_error, _realisation_map, power_realisation_words
+from randsub.core import (
+    _image_budget_error,
+    _level_bounds,
+    _realisation_map,
+    power_realisation_words,
+)
 from randsub.induced import _tail_maps
 from randsub.language import code_base, code_dtype, decode_codes, encode_rows
 from randsub.matrices import DEFAULT_PF_TOL, PF_ITERATION_CAP, _assemble, _power_iterates
@@ -1643,6 +1649,69 @@ class TestSamplerBlockEdges:
             assert_samplers_agree(rs.parse_spec(text), depths, SAMPLER_SEEDS + (2**70,))
 
 
+class TestSampleRefusal:
+    """Both entry points refuse a sample with the message of an oracle, the
+    first level of the scatter sampler longer than the budget, or both go
+    on; where the level bounds force that level's length, before any draw."""
+
+    BUDGETS = (8, 64, 1000)
+    DEPTHS = range(1, 13)
+
+    def test_pool_and_registry_match_the_oracle(self, pool, registry, monkeypatch):
+        class Predicted(Exception):
+            pass
+
+        def predict(*args, **kwargs):
+            raise Predicted
+
+        def draw(*args, **kwargs):
+            raise AssertionError("a forced refusal made a draw")
+
+        def refusal(run):
+            """The budget message ``run`` raises, or None if it goes on."""
+            try:
+                run()
+            except rs.BudgetExceededError as error:
+                return str(error)
+            except Predicted:
+                pass
+            return None
+
+        monkeypatch.setattr(randsub.sampler, "word_frequencies", predict)
+        cases = {"refused": 0, "forced": 0, "sampled": 0}
+        for seed, sub in enumerate(pool + registry):
+            levels = _level_bounds(tuple(r.images for r in sub.rules))
+            bounds = list(itertools.islice(levels, max(self.DEPTHS) + 1))
+            for letter, name in enumerate(sub.alphabet.letters):
+                lengths = [1]  # the oracle's level lengths, until one passes every budget
+                while len(lengths) <= max(self.DEPTHS) and lengths[-1] <= max(self.BUDGETS):
+                    lengths.append(len(scatter_expand_levels(sub, letter, len(lengths), seed)))
+                for budget, depth in itertools.product(self.BUDGETS, self.DEPTHS):
+                    failing = next((d for d in range(1, depth + 1) if lengths[d] > budget), None)
+                    over = (d for d in range(1, depth + 1) if bounds[d][1][letter] > budget)
+                    first = next(over, 0)  # the first level whose longest passes the budget
+                    lo, hi = (b[letter] for b in bounds[first])
+                    forced = first > 0 and lo == hi
+                    want = None
+                    if failing is not None:
+                        want = (
+                            f"sample of letter {name}: {lengths[failing]} letters at level "
+                            f"{failing} of {depth} (budget {budget})"
+                        )
+                    with monkeypatch.context() as patch:
+                        if forced:
+                            assert (failing, lengths[failing]) == (first, hi)
+                            patch.setattr(randsub.sampler, "_progression", draw)
+                        runs = (
+                            lambda: rs.sample_realisation(sub, letter, depth, seed, budget),
+                            lambda: rs.frequency_report(sub, 1, depth, seed, letter, budget),
+                        )
+                        for run in runs:
+                            assert refusal(run) == want, (sub.rules, letter, budget, depth)
+                    cases["forced" if forced else "refused" if want else "sampled"] += 1
+        assert min(cases.values()) > 0, cases
+
+
 def whole_array_window_counts(arr, ell, n_letters):
     """Reference: every window encoded into one code array and counted by
     one ``np.unique``, as the sampler counted before it went a block at a time."""
@@ -1737,6 +1806,46 @@ class TestBlockwiseWindowCounts:
                 for ell in (1, 2, 5):
                     if len(arr) >= ell:
                         assert_window_counts_agree(arr, ell, sub.n_letters)
+
+
+def ragged_blocks(arr, rng):
+    """``arr`` cut into blocks of 0, 1 and 2 to 11 symbols, with an empty
+    block at each end."""
+    blocks, start = [arr[:0]], 0
+    while start < len(arr):
+        size = int(rng.choice((0, 1, int(rng.integers(2, 12)))))
+        blocks.append(arr[start : start + size])
+        start += size
+    return blocks + [arr[len(arr) :]]
+
+
+class TestWindowCountCarry:
+    """The counter fed blocks of 0 and 1 symbols among longer ones, so that
+    the m - 1 symbols it carries come from several blocks, for m up to 7,
+    counted densely and, for the largest m over 5 or 6 symbols, by
+    ``np.unique``."""
+
+    def test_letters(self):
+        rng = np.random.default_rng(16)
+        for n_letters in (3, 5):
+            for ell in range(1, 8):
+                for extra in (0, 1, 5, 40):
+                    arr = rng.integers(0, n_letters, ell + extra).astype(np.uint16)
+                    got, length = _window_counts(ragged_blocks(arr, rng), ell, n_letters)
+                    assert length == len(arr)
+                    assert got == whole_array_window_counts(arr, ell, n_letters), (ell, extra)
+
+    def test_image_ids(self):
+        # The shortest image has one letter, so m = ell.
+        rng = np.random.default_rng(17)
+        for images in (["\0", "\1\0", "\1\1\0"], ["\0", "\1", "\0\1", "\1\1\0", "\0\0", "\1\0"]):
+            for ell in range(1, 8):
+                for count in (ell, ell + 1, ell + 5, ell + 40):
+                    ids = rng.integers(0, len(images), count)
+                    word = np.array([ord(c) for i in ids for c in images[i]], dtype=np.uint16)
+                    got, length = _window_counts(ragged_blocks(ids, rng), ell, 2, images)
+                    assert length == len(word)
+                    assert got == whole_array_window_counts(word, ell, 2), (images, ell, count)
 
 
 class TestStreamedWindowCounts:

@@ -92,6 +92,13 @@ class TestSampleRealisation:
             f"sample of letter {letter}: {size} letters at level {k} of {k} (budget {size - 1})"
         )
 
+    def test_traced_peak_per_sampled_letter(self):
+        # The word (two bytes a letter), its uint32 copy (four) and the string
+        # (one): 7 bytes a letter.  Decoding through a bytes copy read 10.
+        pd = rs.get_example("period-doubling")
+        rs.sample_realisation(pd, "0", 22, 1)
+        assert traced_peak(lambda: rs.sample_realisation(pd, "0", 22, 1)) <= 8 * 2**22
+
     def test_period_doubling_length_is_power_of_two(self):
         pd = rs.get_example("period-doubling")
         for seed in (0, 1, 42):
@@ -209,9 +216,11 @@ class TestFrequencyReport:
             rs.frequency_report(rs.get_example("period-doubling"), 16, -1, 0)
 
     def test_budget_caps_the_prediction(self):
+        # Depth 4's sample is 8 letters, within the budget and not shorter
+        # than ell, so the budget error comes from the prediction's closure.
         fib = rs.get_example("random-fibonacci")
         with pytest.raises(rs.BudgetExceededError, match="closure to length 4"):
-            rs.frequency_report(fib, 4, 10, 0, budget=10)
+            rs.frequency_report(fib, 4, 4, 0, budget=10)
 
     @pytest.mark.parametrize(
         "ell, depth, budget, message",
