@@ -238,7 +238,7 @@ def sample_realisation(
     """One realisation of the k-th image of ``letter``, deterministic in
     (sub, letter, k, seed)."""
     arr = _expand_levels(sub, _letter_index(sub, letter), k, seed, budget)
-    return str(memoryview(arr.astype("<u4")), "utf-32-le")
+    return str(arr.astype("<u4"), "utf-32-le")
 
 
 def _merge_counts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:

@@ -1652,10 +1652,14 @@ class TestSamplerBlockEdges:
 class TestSampleRefusal:
     """Both entry points refuse a sample with the message of an oracle, the
     first level of the scatter sampler longer than the budget, or both go
-    on; where the level bounds force that level's length, before any draw."""
+    on; where the level bounds force that level's length, before any draw.
+    Depths are 1 and the three around that level (11 and 12 where no level
+    up to 12 passes the budget): the deepest that samples, the level
+    itself, and one deeper, which repeats its refusal as every deeper
+    depth would."""
 
     BUDGETS = (8, 64, 1000)
-    DEPTHS = range(1, 13)
+    MAX_DEPTH = 12
 
     def test_pool_and_registry_match_the_oracle(self, pool, registry, monkeypatch):
         class Predicted(Exception):
@@ -1681,34 +1685,38 @@ class TestSampleRefusal:
         cases = {"refused": 0, "forced": 0, "sampled": 0}
         for seed, sub in enumerate(pool + registry):
             levels = _level_bounds(tuple(r.images for r in sub.rules))
-            bounds = list(itertools.islice(levels, max(self.DEPTHS) + 1))
+            bounds = list(itertools.islice(levels, self.MAX_DEPTH + 1))
             for letter, name in enumerate(sub.alphabet.letters):
                 lengths = [1]  # the oracle's level lengths, until one passes every budget
-                while len(lengths) <= max(self.DEPTHS) and lengths[-1] <= max(self.BUDGETS):
+                while len(lengths) <= self.MAX_DEPTH and lengths[-1] <= max(self.BUDGETS):
                     lengths.append(len(scatter_expand_levels(sub, letter, len(lengths), seed)))
-                for budget, depth in itertools.product(self.BUDGETS, self.DEPTHS):
-                    failing = next((d for d in range(1, depth + 1) if lengths[d] > budget), None)
-                    over = (d for d in range(1, depth + 1) if bounds[d][1][letter] > budget)
-                    first = next(over, 0)  # the first level whose longest passes the budget
-                    lo, hi = (b[letter] for b in bounds[first])
-                    forced = first > 0 and lo == hi
-                    want = None
-                    if failing is not None:
-                        want = (
-                            f"sample of letter {name}: {lengths[failing]} letters at level "
-                            f"{failing} of {depth} (budget {budget})"
-                        )
-                    with monkeypatch.context() as patch:
-                        if forced:
-                            assert (failing, lengths[failing]) == (first, hi)
-                            patch.setattr(randsub.sampler, "_progression", draw)
-                        runs = (
-                            lambda: rs.sample_realisation(sub, letter, depth, seed, budget),
-                            lambda: rs.frequency_report(sub, 1, depth, seed, letter, budget),
-                        )
-                        for run in runs:
-                            assert refusal(run) == want, (sub.rules, letter, budget, depth)
-                    cases["forced" if forced else "refused" if want else "sampled"] += 1
+                for budget in self.BUDGETS:
+                    # The oracle's first level longer than the budget, if any
+                    failing = next((d for d, n in enumerate(lengths) if n > budget), None)
+                    end = self.MAX_DEPTH if failing is None else failing
+                    depths = {1, end - 1, end, end + 1} & set(range(1, self.MAX_DEPTH + 1))
+                    for depth in sorted(depths):
+                        over = (d for d in range(1, depth + 1) if bounds[d][1][letter] > budget)
+                        first = next(over, 0)  # the first level whose longest passes the budget
+                        lo, hi = (b[letter] for b in bounds[first])
+                        forced = first > 0 and lo == hi
+                        want = None
+                        if failing is not None and failing <= depth:
+                            want = (
+                                f"sample of letter {name}: {lengths[failing]} letters at level "
+                                f"{failing} of {depth} (budget {budget})"
+                            )
+                        with monkeypatch.context() as patch:
+                            if forced:
+                                assert (failing, lengths[failing]) == (first, hi)
+                                patch.setattr(randsub.sampler, "_progression", draw)
+                            runs = (
+                                lambda: rs.sample_realisation(sub, letter, depth, seed, budget),
+                                lambda: rs.frequency_report(sub, 1, depth, seed, letter, budget),
+                            )
+                            for run in runs:
+                                assert refusal(run) == want, (sub.rules, letter, budget, depth)
+                        cases["forced" if forced else "refused" if want else "sampled"] += 1
         assert min(cases.values()) > 0, cases
 
 
