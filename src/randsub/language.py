@@ -24,26 +24,42 @@ a key) of the closure, the tail engine, the induced join and the sampler.
 Rounds.  Round r processes, as one batch, every word that became known
 in round r-1 (round 1 processes the letters).  Within the batch, lengths
 go up: the live partial windows of u are those of u minus its last
-letter, each extended by every image of u's last letter.  They are kept
-in a per-word index: the sorted codes of the words of one length that
-have partials, closed by the sentinel b^m, and each word's first row
+letter, each extended by every image of u's last letter.  Partials
+shorter than the bound stay live; every extension emits its window, cut
+to the bound.  The round's fresh words are the unknown factors of its
+windows, computed top-down length by length: an unknown factor of length
+L is an emitted window of length L or a prefix or suffix of an unknown
+word of length L+1, tested against a sorted array of the known words per
+length.
+
+Classes.  A word's class code replaces each letter by the first letter
+whose rule has the same image set.  A word's live partials and emitted
+windows depend only on its class code, by induction on its length: the
+empty word's one partial is itself, and u's partials and windows are
+those of u minus its last letter, extended by the images of u's last
+letter (by their tails when u is a letter), which only that letter's
+image set fixes.  So the closure extends each class code once: the words
+of a batch that share one run one set of extensions, and a class code
+extended in an earlier round is skipped, since it would only re-emit
+windows that are already known.  When no two letters share an image set,
+class codes are word codes and nothing is skipped.  Live partials are
+kept in a per-class index: the sorted class codes of one length that
+have partials, closed by the sentinel b^m, and each code's first row
 (CSR), so a prefix's rows are one ``searchsorted`` on the codes and two
-reads of the row starts away.  Partials shorter than the bound stay
-live; every extension emits its window, cut to the bound.
-The round's fresh words are the unknown factors of its windows, computed
-top-down length by length: an unknown factor of length L is an emitted
-window of length L or a prefix or suffix of an unknown word of length
-L+1, tested against a sorted array of the known words per length.
+reads of the row starts away.
 
 Bounded memory.  Extensions run in chunks of about 2^15 (partial, image)
-pairs; each chunk deduplicates its live partials per word and its
+pairs; each chunk deduplicates its live partials per class code and its
 windows before they are kept.  A chunk hands on its partials with one
-row count per word, never a word code per partial, so a kept partial
+row count per class code, never a code per partial, so a kept partial
 costs 10 bytes: its packed code and its int16 length.
 
-Budget.  Work is one unit per (partial, image) extension, charged in the
-order the rounds run: lengths go up, and within one length the words go
-in lexicographic order.  A length's work is known before any of its
+Budget.  Work is one unit per (partial, image) extension of every word,
+charged in the order the rounds run: lengths go up, and within one length
+the words go in lexicographic order.  A word whose class code is shared
+or was extended before is charged its extensions as if it ran them, so
+the work, the tables and every budget error are those of a closure that
+extends each word.  A length's work is known before any of its
 extensions run, so the closure stops before the charged work would pass
 the budget: a failing closure runs at most ``budget`` extensions, and the
 error names the cumulative work at the first word that crossed it.
@@ -231,9 +247,16 @@ class _Closure:
         tails = [[w[o:] for w in rule.images for o in range(len(w))] for rule in sub.rules]
         self.tails = image_table(tails, self.base, self.dtype)
         self.images = image_table([rule.images for rule in sub.rules], self.base, self.dtype)
-        # Live partial windows of every processed word of length m < ell:
-        # the sorted codes of the words that have partials, closed by the
-        # sentinel b^m, each word's first row, and per row a packed partial
+        # Each letter's class: the first letter with its image set, or
+        # None when no two letters share one; ``done`` holds per length
+        # the class codes already extended.
+        first: dict[frozenset, int] = {}
+        classes = [first.setdefault(frozenset(rule.images), a) for a, rule in enumerate(sub.rules)]
+        self.classes = None if len(first) == len(classes) else np.array(classes)
+        self.done = {m: self.empty for m in range(1, ell + 1)}
+        # Live partial windows of every extended class code of length
+        # m < ell: the sorted class codes that have partials, closed by the
+        # sentinel b^m, each code's first row, and per row a packed partial
         # and its length; the empty word's one partial is itself.
         codes = np.arange(2).astype(self.dtype)
         empty_word = (codes, np.arange(2), self.pows[:1], np.zeros(1, dtype=np.int16))
@@ -280,13 +303,19 @@ class _Closure:
         for m, words in batch.items():
             table = self.tails if m == 1 else self.images
             # each word extends its prefix's live partials by the images
-            # of its last letter
+            # of its last letter; both depend on its class code alone
+            keys = words
+            if self.classes is not None:
+                keys = np.zeros(len(words), dtype=self.dtype)
+                for t in range(m - 1, -1, -1):
+                    digit = (words // self.pows[t] % self.base).astype(np.int64)
+                    keys = keys * self.base + self.classes[digit]
             codes, starts = self.live[m - 1][:2]
-            prefix = words // self.base
+            prefix = keys // self.base
             at = np.searchsorted(codes, prefix)
             lo = starts[at]
             hi = starts[at + (codes[at] == prefix)]
-            last = (words % self.base).astype(np.int64)
+            last = (keys % self.base).astype(np.int64)
             work = self.work + np.cumsum((hi - lo) * table[0][last])
             if work[-1] > self.budget:
                 first = int(np.argmax(work > self.budget))
@@ -295,7 +324,18 @@ class _Closure:
                     f"in round {rounds}",
                     self.budget,
                 )
-            self._extend(m, table, words, lo, hi, last, chunks)
+            if self.classes is not None:
+                # one extension per class code; one extended before
+                # would only re-emit known windows
+                order = np.argsort(keys)
+                keys = keys[order]
+                new = ~_member(self.done[m], keys)
+                new[1:] &= keys[1:] != keys[:-1]
+                pick = order[new]
+                keys, lo, hi, last = keys[new], lo[pick], hi[pick], last[pick]
+                self.done[m] = np.sort(np.concatenate((self.done[m], keys)))
+            if len(keys):
+                self._extend(m, table, keys, lo, hi, last, chunks)
             self.work = int(work[-1])
         windows = _unique(np.concatenate(chunks)) if chunks else self.empty
         edges = np.searchsorted(windows, self.pows[: ell + 2])
@@ -306,9 +346,10 @@ class _Closure:
     # -- extensions -------------------------------------------------
 
     def _extend(self, m: int, table, words, lo, hi, last, chunks: list[np.ndarray]) -> None:
-        """Extend the words' stems (rows lo..hi of the length m-1 index)
-        by the images of their last letters, in chunks; emitted windows
-        go to ``chunks``, live partials into the length-m index."""
+        """Extend the class codes ``words``' stems (rows lo..hi of the
+        length m-1 index) by the images of their last letters, in chunks;
+        emitted windows go to ``chunks``, live partials into the length-m
+        index."""
         count_of, first_of, img_code, img_len = table
         stem_packed, stem_len = self.live[m - 1][2:]
         ell, pows = self.ell, self.pows
@@ -342,9 +383,9 @@ class _Closure:
             self._store(m, words, stored)
 
     def _store(self, m: int, words: np.ndarray, parts) -> None:
-        """Merge the chunks' (row count per word, partials, lengths) of
-        ``words`` into the index of length-m words, to which they are all
-        new; words without partials stay out of it."""
+        """Merge the chunks' (row count per code, partials, lengths) of the
+        class codes ``words`` into the length-m index, to which they are
+        all new; codes without partials stay out of it."""
         if len(parts) == 1:
             counts, packed, lengths = parts[0]
         else:

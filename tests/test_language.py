@@ -166,13 +166,36 @@ class TestTableMechanics:
 
 class TestClosureMemory:
     def test_traced_peak_of_sofic_ab_at_24(self):
-        # sofic-ab holds 1,585,737 live partials at ell 24, kept by 606 of
-        # its 40,902 words.  At 10 bytes a partial (packed code and int16
-        # length, with one code and one row start per word) the closure
-        # peaks at about 24 MiB; a word code kept beside every partial, in
-        # the table or in the chunks handed to it, read 42 and 36 MiB.  The
-        # warm-up keeps module loading out of the traced peak.
+        # sofic-ab's letters share one image set, so every word of a length
+        # has one class code: at ell 24 the closure holds 12,284 live
+        # partials under 12 class codes, and its traced peak is about
+        # 2 MiB.  One partial set per word held 1,585,737 partials under 606
+        # of its words and peaked at 24 MiB.  The warm-up keeps module
+        # loading out of the traced peak.
         sofic = rs.get_example("sofic-ab")
         rs.legal_words(sofic, 8)
         peak = traced_peak(lambda: rs.legal_words(sofic, 24))
-        assert peak <= 30 * 2**20
+        assert peak <= 4 * 2**20
+
+
+class TestClassCodes:
+    @pytest.mark.parametrize(
+        "name, ell, work, most",
+        [("sofic-ab", 20, 549_448, 12_280), ("full-shift-2", 12, 1_497_968, 32_768)],
+    )
+    def test_shared_image_sets_extend_once(self, monkeypatch, name, ell, work, most):
+        # Both letters share one image set, so each length's words extend one
+        # class code once (6,140 and 16,384 extensions), while the budget is
+        # still charged every word's extensions.
+        extend = rs.language._Closure._extend
+        ran = [0]
+
+        def counted(self, m, table, words, lo, hi, last, chunks):
+            ran[0] += int(((hi - lo) * table[0][last]).sum())
+            return extend(self, m, table, words, lo, hi, last, chunks)
+
+        monkeypatch.setattr(rs.language._Closure, "_extend", counted)
+        closure = rs.language._Closure(rs.get_example(name), ell, 10**8)
+        closure.run()
+        assert closure.work == work
+        assert ran[0] <= most

@@ -59,6 +59,29 @@ def pool():
     return [random_primitive_substitution(rng) for _ in range(POOL_SIZE)]
 
 
+SHARED_POOL_SIZE = 30
+
+
+def shared_class_substitution(rng: random.Random) -> rs.RandomSubstitution:
+    """A primitive, non-empty substitution on 2 or 3 letters with one letter's
+    rule copied onto another, so that two letters share one image set."""
+    n = rng.choice((2, 3))
+    while True:
+        lines = rs.serialize(random_substitution(rng, "abc"[:n])).splitlines()
+        rules = [i for i, line in enumerate(lines) if line.startswith("rule ")]
+        source, target = rng.sample(rules, 2)
+        lines[target] = lines[target].split("->")[0] + "->" + lines[source].split("->")[1]
+        sub = rs.parse_spec("\n".join(lines) + "\n")
+        if rs.is_primitive(sub) and sub.max_image_len > 1:
+            return sub
+
+
+@pytest.fixture(scope="module")
+def shared_pool():
+    rng = random.Random(0x5AC1A55)
+    return [shared_class_substitution(rng) for _ in range(SHARED_POOL_SIZE)]
+
+
 @pytest.fixture(scope="module")
 def registry():
     return [rs.get_example(name) for name in rs.example_names()]
@@ -367,22 +390,45 @@ def str_closure(sub, ell, budget):
     return words, {m: round_added.get(m, 0) for m in range(1, ell + 1)}, live
 
 
-def closure_outcome(close, sub, ell, budget):
-    """(words per length, stabilized_at), or the budget error's text."""
-    try:
-        return close(sub, ell, budget)[:2]
-    except rs.BudgetExceededError as exc:
-        return str(exc)
+@pytest.fixture(scope="class")
+def references():
+    """``str_closure``'s outcome per (substitution, ell, budget), computed once
+    for every test of a class that reads it: (words, rounds, live sets), or
+    the budget error's text.  The class scope frees them, about 140 MB, once
+    ``TestLanguageOracle`` is done."""
+    cache = {}
+
+    def get(sub, ell, budget=10**8):
+        key = (rs.serialize(sub), ell, budget)
+        if key not in cache:
+            try:
+                cache[key] = str_closure(sub, ell, budget)
+            except rs.BudgetExceededError as exc:
+                cache[key] = str(exc)
+        return cache[key]
+
+    return get
 
 
 def table_closure(sub, ell, budget):
-    table = rs.LanguageTable(sub, ell, budget=budget)
+    """(words per length, stabilized_at) of a table, or the budget error's text."""
+    try:
+        table = rs.LanguageTable(sub, ell, budget=budget)
+    except rs.BudgetExceededError as exc:
+        return str(exc)
     return {m: table.words(m) for m in range(1, ell + 1)}, table.stabilized_at
 
 
+def class_code(sub, word):
+    """``word`` with each letter replaced by the first letter whose rule has
+    the same image set."""
+    sets = [set(rule.images) for rule in sub.rules]
+    return "".join(chr(sets.index(sets[ord(c)])) for c in word)
+
+
 def indexed_partials(closure):
-    """Each word's live partials decoded from a run closure's per-word index:
-    sorted word codes closed by the sentinel b^m, and each word's first row."""
+    """Each class code's live partials decoded from a run closure's index:
+    sorted class codes closed by the sentinel b^m, and each code's first row."""
     base, out = closure.base, {}
     for m, (codes, starts, packed, lengths) in closure.live.items():
         assert codes[-1] == base**m and starts[-1] == len(packed) == len(lengths)
@@ -399,34 +445,36 @@ def indexed_partials(closure):
     return out
 
 
-def assert_closures_agree(sub, ell, budget=10**8):
-    expect = closure_outcome(str_closure, sub, ell, budget)
-    assert closure_outcome(table_closure, sub, ell, budget) == expect, (rs.serialize(sub), ell)
+def assert_closures_agree(references, sub, ell, budget=10**8):
+    expect = references(sub, ell, budget)
+    expect = expect if isinstance(expect, str) else expect[:2]
+    assert table_closure(sub, ell, budget) == expect, (rs.serialize(sub), ell)
 
 
 class TestLanguageOracle:
-    def test_pool_tables_match(self, pool):
-        for sub in pool:
+    def test_pool_tables_match(self, pool, shared_pool, references):
+        for sub in pool + shared_pool:
             if rs.is_empty_subshift(sub):
                 continue
             for ell in (1, 2, 3, 5, 8):
-                assert_closures_agree(sub, ell)
+                assert_closures_agree(references, sub, ell)
 
-    def test_registry_tables_match(self, registry):
+    def test_registry_tables_match(self, registry, references):
         for sub, name in zip(registry, rs.example_names()):
             if rs.is_empty_subshift(sub):
                 continue
             for ell in (1, 4, 12) if name == "full-shift-2" else (1, 4, 11, 18):
-                assert_closures_agree(sub, ell)
+                assert_closures_agree(references, sub, ell)
 
-    def test_budget_errors_match(self, pool, registry):
-        for sub, ell in [(sub, 8) for sub in pool] + [(sub, 12) for sub in registry]:
+    def test_budget_errors_match(self, pool, shared_pool, registry, references):
+        cases = [(sub, 8) for sub in pool + shared_pool] + [(sub, 12) for sub in registry]
+        for sub, ell in cases:
             if rs.is_empty_subshift(sub):
                 continue
             for budget in (50, 1000, 5000):
-                assert_closures_agree(sub, ell, budget)
+                assert_closures_agree(references, sub, ell, budget)
 
-    def test_failing_closure_stays_within_budget(self, pool, registry, monkeypatch):
+    def test_failing_closure_stays_within_budget(self, pool, shared_pool, registry, monkeypatch):
         # Sum the (partial, image) pairs handed to every extension: a
         # closure that fails must stop before it runs past its budget.
         extend = rs.language._Closure._extend
@@ -437,7 +485,7 @@ class TestLanguageOracle:
             return extend(self, m, table, words, lo, hi, last, chunks)
 
         monkeypatch.setattr(rs.language._Closure, "_extend", counted)
-        cases = [(sub, 8) for sub in pool] + [(sub, 12) for sub in registry]
+        cases = [(sub, 8) for sub in pool + shared_pool] + [(sub, 12) for sub in registry]
         cases.append((rs.get_example("sofic-ab"), 20))
         for sub, ell in cases:
             if rs.is_empty_subshift(sub):
@@ -449,29 +497,40 @@ class TestLanguageOracle:
                 except rs.BudgetExceededError:
                     assert ran[0] <= budget, (rs.serialize(sub), ell, budget, ran[0])
 
-    def test_partial_index_matches_live_sets(self, pool, registry):
-        # Every processed word's partials, decoded from the closure's
-        # per-word index, are the oracle's live set; words without
-        # partials stay out of the index.
-        cases = [(sub, 8) for sub in pool] + [(sub, 12) for sub in registry]
+    def test_partial_index_matches_live_sets(self, pool, shared_pool, registry, references):
+        # Every processed word's oracle live set is the index entry of its
+        # class code, and every index key is the class code of a processed
+        # word with partials; words without partials stay out of the index.
+        cases = [(sub, 8) for sub in pool + shared_pool] + [(sub, 12) for sub in registry]
         for sub, ell in cases:
             if rs.is_empty_subshift(sub):
                 continue
             closure = rs.language._Closure(sub, ell, 10**8)
             closure.run()
-            _words, _rounds, live = str_closure(sub, ell, 10**8)
-            expect = {word: partials for word, partials in live.items() if partials}
-            assert indexed_partials(closure) == expect, (rs.serialize(sub), ell)
+            index = indexed_partials(closure)
+            keys = set()
+            for word, partials in references(sub, ell)[2].items():
+                key = class_code(sub, word)
+                if partials:
+                    assert index.get(key) == partials, (rs.serialize(sub), ell, word)
+                    keys.add(key)
+                else:
+                    assert key not in index, (rs.serialize(sub), ell, word)
+            assert set(index) == keys, (rs.serialize(sub), ell)
 
-    def test_wide_codes_match(self):
-        # 3^(40 + 2) >= 2^62, so this closure runs on Python-int codes
+    def test_wide_codes_match(self, references):
+        # 3^(40 + 2) >= 2^62, so these closures run on Python-int codes;
+        # b and c share one image set in the second
         tribonacci = rs.parse_spec(
             "alphabet: a b c\nrule a -> ab:1\nrule b -> ac:1\nrule c -> a:1\n"
         )
-        assert rs.language.code_dtype(3, 40 + tribonacci.max_image_len) is object
-        for budget in (10**8, 50, 100):
-            assert_closures_agree(tribonacci, 40, budget)
+        shared = rs.parse_spec("alphabet: a b c\nrule a -> ab\nrule b -> ca\nrule c -> ca\n")
+        for sub in (tribonacci, shared):
+            assert rs.language.code_dtype(3, 40 + sub.max_image_len) is object
+            for budget in (10**8, 50, 100):
+                assert_closures_agree(references, sub, 40, budget)
         assert rs.legal_words(tribonacci, 40).count(40) == 81
+        assert rs.legal_words(shared, 40).count(40) == 124
 
 
 def full_tail_induced(sub, ell, table=None):
