@@ -360,7 +360,8 @@ def _format_images(sub: RandomSubstitution, rule: Rule) -> str:
 
 
 def serialize(sub: RandomSubstitution) -> str:
-    """Emit the spec grammar; parse_spec(serialize(sub)) round-trips."""
+    """Emit the spec grammar, a fixpoint after one parse_spec: images and their order
+    come back exactly, probabilities to 12 significant digits (dyadic ones exactly)."""
     lines = ["alphabet: " + " ".join(sub.alphabet.letters)]
     for rule in sub.rules:
         lines.append(f"rule {sub.alphabet.letters[rule.source]} -> {_format_images(sub, rule)}")

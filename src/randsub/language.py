@@ -170,10 +170,10 @@ class LanguageTable:
     """Legal words of every length up to ``max_len``, plus per-length
     stabilisation rounds of the closure that produced them.
 
-    Tables are built single-threaded and are safe for concurrent reads
-    afterwards (a read may fill a per-length cache of decoded words; racing
-    fills store equal values); ``extend`` mutates in place and re-runs the
-    closure.
+    Each length's sorted codes are its only data: ``words`` decodes them
+    and ``in`` searches them.  Tables are built single-threaded and are
+    safe for concurrent reads afterwards (reads fill no cache); ``extend``
+    mutates in place and re-runs the closure.
     """
 
     def __init__(self, sub: RandomSubstitution, max_len: int, budget: int = DEFAULT_BUDGET):
@@ -185,8 +185,6 @@ class LanguageTable:
         self.stabilized_at: dict[int, int] = {}
         self._base = code_base(sub.n_letters)
         self._codes: dict[int, np.ndarray] = {}
-        self._words: dict[int, tuple[Word, ...]] = {}
-        self._sets: dict[int, frozenset[Word]] = {}
         self.extend(max_len)
 
     def extend(self, max_len: int, budget: int | None = None) -> "LanguageTable":
@@ -195,7 +193,6 @@ class LanguageTable:
         if max_len > self.max_len:
             closure = _Closure(self.sub, max_len, self.budget if budget is None else budget)
             self._codes, self.stabilized_at = closure.run()
-            self._words, self._sets = {}, {}
             self.max_len = max_len
         return self
 
@@ -208,24 +205,18 @@ class LanguageTable:
 
     def words(self, length: int) -> tuple[Word, ...]:
         """Legal words of one length in canonical (lexicographic) order."""
-        codes = self.codes(length)
-        if length not in self._words:
-            self._words[length] = tuple(decode_codes(codes, length, self._base))
-        return self._words[length]
+        return tuple(decode_codes(self.codes(length), length, self._base))
 
     def count(self, length: int) -> int:
         return len(self.codes(length))
 
     def __contains__(self, word: Word) -> bool:
-        # A set of the decoded words, built on the first query of a length,
-        # answers the census's and mixing scan's many single-word queries
-        # faster than encoding each word and searching the codes.
-        if not word:
+        # a letter past the alphabet carries: in base 2, "\x00\x02" codes as "10"
+        if not word or max(map(ord, word)) >= self.sub.n_letters:
             return False
-        length = len(word)
-        if length not in self._sets:
-            self._sets[length] = frozenset(self.words(length))
-        return word in self._sets[length]
+        codes, code = self.codes(len(word)), encode_word(word, self._base)
+        at = np.searchsorted(codes, code)
+        return bool(at < len(codes) and codes[at] == code)
 
 
 class _Closure:

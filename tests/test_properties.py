@@ -110,6 +110,30 @@ class TestRealisationProbabilities:
                 assert total == pytest.approx(1.0, abs=1e-9)
 
 
+class TestSerializeRoundTrip:
+    def test_pool_and_registry(self, pool, registry):
+        # One parse reaches serialize's fixpoint; images and their order come
+        # back exactly, probabilities to 12 significant digits, and the
+        # registry's dyadic probabilities exactly.
+        for sub in pool + registry:
+            text = rs.serialize(sub)
+            again = rs.parse_spec(text)
+            assert rs.serialize(again) == text
+            for rule, back in zip(sub.rules, again.rules):
+                assert back.images == rule.images, text
+                for p, q in zip(rule.probabilities, back.probabilities):
+                    assert math.isclose(p, q, rel_tol=5e-12), text
+        for sub in registry:
+            assert rs.parse_spec(rs.serialize(sub)) == sub
+
+    def test_uniform_thirds_come_back_rounded(self):
+        sub = rs.parse_spec("alphabet: a\nrule a -> a | aa | aaa\n")
+        again = rs.parse_spec(rs.serialize(sub))
+        assert sub.rules[0].probabilities == (1 / 3,) * 3
+        assert again.rules[0].probabilities == (0.333333333333,) * 3
+        assert again != sub
+
+
 def materialising_splitting_pairs(sub, k_max, budget=10**6):
     """Reference: splitting_pairs as it was before realisations were
     streamed, materialising every realisation before the (i, j) search."""
@@ -316,6 +340,14 @@ class TestLanguageInvariants:
                     assert counts[k + ell - 1] <= counts[k - 1] * counts[ell - 1]
 
 
+def wide_code_subs():
+    """Tribonacci, and a 3-letter substitution whose b and c share one image
+    set: at length 40 their codes pass 2^62 and run as Python ints."""
+    tribonacci = rs.parse_spec("alphabet: a b c\nrule a -> ab:1\nrule b -> ac:1\nrule c -> a:1\n")
+    shared = rs.parse_spec("alphabet: a b c\nrule a -> ab\nrule b -> ca\nrule c -> ca\n")
+    return tribonacci, shared
+
+
 def str_closure(sub, ell, budget):
     """Reference: the language closure on sets of str windows, as it was
     before words were coded as integers.  Each round's words are queued
@@ -519,12 +551,8 @@ class TestLanguageOracle:
             assert set(index) == keys, (rs.serialize(sub), ell)
 
     def test_wide_codes_match(self, references):
-        # 3^(40 + 2) >= 2^62, so these closures run on Python-int codes;
-        # b and c share one image set in the second
-        tribonacci = rs.parse_spec(
-            "alphabet: a b c\nrule a -> ab:1\nrule b -> ac:1\nrule c -> a:1\n"
-        )
-        shared = rs.parse_spec("alphabet: a b c\nrule a -> ab\nrule b -> ca\nrule c -> ca\n")
+        # 3^(40 + 2) >= 2^62, so these closures run on Python-int codes
+        tribonacci, shared = wide_code_subs()
         for sub in (tribonacci, shared):
             assert rs.language.code_dtype(3, 40 + sub.max_image_len) is object
             for budget in (10**8, 50, 100):
@@ -1044,12 +1072,13 @@ class TestInducedPrimitivity:
                 assert rs.induced_is_primitive(rs.induced_substitution(sub, ell))
 
 
-def word_mixing_gaps(table, u, v, n_max):
+def word_mixing_gaps(words, u, v, n_max):
     """Reference: mixing gaps as they were before they were read on codes, by
-    decoding every legal word and testing its prefix and suffix."""
+    testing the prefix and suffix of every legal word; ``words`` maps each
+    length to its decoded legal words."""
     return tuple(
         n for n in range(n_max + 1)
-        if any(w.startswith(u) and w.endswith(v) for w in table.words(len(u) + n + len(v)))
+        if any(w.startswith(u) and w.endswith(v) for w in words[len(u) + n + len(v)])
     )
 
 
@@ -1060,13 +1089,81 @@ class TestMixingGapsOnCodes:
             if rs.is_empty_subshift(sub):
                 continue
             table = rs.legal_words(sub, 8)
-            legal = [w for length in (1, 2) for w in table.words(length)]
+            words = {m: table.words(m) for m in range(1, 9)}
+            legal = words[1] + words[2]
             for u in legal:
                 for v in legal:
                     gaps = rs.mixing_gaps(sub, u, v, 4, table=table)
-                    assert gaps == word_mixing_gaps(table, u, v, 4), (rs.serialize(sub), u, v)
+                    assert gaps == word_mixing_gaps(words, u, v, 4), (rs.serialize(sub), u, v)
                     checked += 1
         assert checked > 2000
+
+
+class TestMembershipOnCodes:
+    def test_registry_matches_word_sets(self, registry, tables):
+        for sub, name in zip(registry, rs.example_names()):
+            if rs.is_empty_subshift(sub):
+                continue
+            table = tables(name, 6)
+            legal = frozenset(w for m in range(1, 7) for w in table.words(m))
+            for word in all_words_up_to(sub, 6):
+                assert (word in table) == (word in legal), (name, word)
+
+    def test_refused_and_extending_words(self, tables):
+        # In base 2, "\x00\x02" has the code of the legal "\x01\x00"; a
+        # one-letter alphabet codes in base 2 too, so index 1 is a digit.
+        pd = tables("period-doubling", 6)
+        assert "\x01\x00" in pd and "\x00\x02" not in pd and "" not in pd
+        one = rs.legal_words(rs.parse_spec("alphabet: a\nrule a -> aa\n"), 3)
+        assert "\x00" * 3 in one
+        assert "\x01" not in one and "\x00\x01" not in one and "\x01\x00" not in one
+        assert "" not in one
+        # A word longer than the table extends it, as ``is_legal`` documents.
+        short = rs.legal_words(rs.get_example("period-doubling"), 3)
+        assert rs.is_legal(short, "\x00\x01\x00\x00\x00") and short.max_len == 5
+        assert "\x01\x01\x01\x00" + "\x00" * 4 not in short and short.max_len == 8
+
+
+def string_census(table, n_max, horizon):
+    """Reference: census roots as they were before the census read codes, by
+    testing every rotation's window of each decoded root against the set of
+    decoded legal words."""
+    legal = frozenset(table.words(horizon))
+    roots = {}
+    for n in range(1, n_max + 1):
+        reps = horizon // n + 2
+        roots[n] = tuple(
+            u for u in table.words(n)
+            if all((u * reps)[i : i + horizon] in legal for i in range(n))
+        )
+    return roots
+
+
+def assert_census_matches_strings(sub, n_max, horizons, table):
+    for horizon in horizons:
+        census = rs.periodic_census(sub, n_max, horizon, table=table)
+        expect = string_census(table, n_max, horizon)
+        assert census.roots == expect, (rs.serialize(sub), horizon)
+        assert census.counts == {n: len(roots) for n, roots in expect.items()}
+
+
+class TestCensusOnCodes:
+    def test_pool_and_registry_match_string_census(self, pool, registry, tables):
+        cases = [(sub, 4 if sub.n_letters == 2 else 3, None) for sub in pool]
+        cases += [(sub, 4, name) for sub, name in zip(registry, rs.example_names())]
+        for sub, n_max, name in cases:
+            if rs.is_empty_subshift(sub):
+                continue
+            horizons = (2 * n_max, 2 * n_max + 3)
+            table = tables(name, horizons[1]) if name else rs.legal_words(sub, horizons[1])
+            assert_census_matches_strings(sub, n_max, horizons, table)
+
+    def test_wide_codes_match_string_census(self):
+        for sub in wide_code_subs():
+            table = rs.legal_words(sub, 40)
+            assert table.codes(40).dtype == object
+            assert_census_matches_strings(sub, 20, (40,), table)
+            assert all(w in table for w in table.words(40)) and "\x02" * 40 not in table
 
 
 class TestCensusAndZeta:
